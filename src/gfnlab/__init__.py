@@ -27,15 +27,11 @@ from .harness import (
     TrainConfig,
     benchmark_timing,
     run_cv,
-    subsample_dataset,
 )
 from .models import (
     ModelConfig,
     ModelInstance,
-    build_model,
     collapse_linear_gcn,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .sparse import CSRMatrix, block_diag, from_coo, spmm
 from .tu import parse_tu_dataset
@@ -62,19 +58,15 @@ __all__ = [
     "augment",
     "benchmark_timing",
     "block_diag",
-    "build_model",
     "collapse_linear_gcn",
     "from_coo",
     "generate_dense_synthetic",
     "generate_synthetic_dataset",
-    "load_checkpoint",
     "node_degrees",
     "normalized_adjacency",
     "parse_tu_dataset",
     "precompute_dataset",
     "run_cv",
-    "save_checkpoint",
     "spmm",
     "stratified_kfold",
-    "subsample_dataset",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,25 +52,6 @@ SYNTHETIC_DENSE_SIZE = 64
 
 class UsageError(Exception):
     """Bad flag combinations detected after argparse (maps to exit 2)."""
-
-
-@dataclass
-class RunManifest:
-    command: str
-    dataset: str
-    model: str
-    config: dict
-    seeds: list[int]
-    started: str
-    finished: str = ""
-    outputs: list[str] = field(default_factory=list)
-
-    def write(self, run_dir: Path) -> Path:
-        path = run_dir / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
 
 def _now() -> str:
@@ -138,11 +118,13 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, keys) -> dict:
-    """CLI flag > config file > default, per key."""
+def _resolve(args: argparse.Namespace, config: dict) -> dict:
+    """CLI flag > config file > default, for each option the subcommand takes."""
     out = {}
-    for key in keys:
-        cli_val = getattr(args, key, None)
+    for key in DEFAULTS:
+        if not hasattr(args, key):
+            continue  # not an option of this subcommand
+        cli_val = getattr(args, key)
         if cli_val is not None:
             out[key] = cli_val
         elif key in config:
@@ -219,6 +201,8 @@ def parse_grid(text: str) -> list[int]:
         values = [int(t) for t in text.split(",") if t.strip()]
     if not values:
         raise ValueError(f"grid {text!r} is empty")
+    if min(values) < 0:
+        raise ValueError(f"grid {text!r} has a negative layer count")
     return values
 
 
@@ -240,103 +224,60 @@ def _model_config(resolved: dict, num_classes: int) -> ModelConfig:
     return ModelConfig(kind=kind, num_classes=num_classes, feature_spec=spec)
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, config, DEFAULTS.keys())
-    dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
+def cmd_cv(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
     train_config = _train_config(resolved)
     resolved["k"] = model_config.feature_spec.K
-    run_dir = make_run_dir(Path(resolved["out"]), f"cv-{dataset.name}-{model_config.kind}")
-    manifest = RunManifest(
-        command="cv",
-        dataset=args.dataset,
-        model=model_config.kind,
-        config=resolved,
-        seeds=[train_config.seed],
-        started=_now(),
-    )
-    report = run_cv(dataset, model_config, train_config)
-    report_path = run_dir / "report.json"
-    report_path.write_text(report.to_json() + "\n")
-    manifest.finished = _now()
-    manifest.outputs = [str(report_path)]
-    manifest.write(run_dir)
-    print(f"run dir: {run_dir}")
-    print(report.summary())
-    return 0
+
+    def work(run_dir: Path):
+        report = run_cv(dataset, model_config, train_config)
+        report_path = run_dir / "report.json"
+        report_path.write_text(report.to_json() + "\n")
+        return report_path, [report.summary()]
+
+    return f"cv-{dataset.name}-{model_config.kind}", model_config.kind, work
 
 
-def cmd_features(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, config, ["folds", "epochs", "batch", "lr", "k",
-                                       "seed", "jobs", "out", "data_root"])
-    dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
+def cmd_features(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     k = _resolve_k(resolved["k"], "gfn")
     spec = FeatureSpec(use_degree=not args.no_degree, include_raw=True, K=k)
     resolved["k"] = spec.K
     resolved["degree"] = spec.use_degree
-    run_dir = make_run_dir(Path(resolved["out"]), f"features-{dataset.name}")
-    manifest = RunManifest(
-        command="features export",
-        dataset=args.dataset,
-        model="",
-        config=resolved,
-        seeds=[int(resolved["seed"])],
-        started=_now(),
-    )
-    feats = precompute_dataset(dataset, spec)
-    csv_dir = run_dir / "features"
-    paths = export_csv(dataset, feats, csv_dir)
-    manifest.finished = _now()
-    manifest.outputs = [str(csv_dir)]
-    manifest.write(run_dir)
-    print(f"run dir: {run_dir}")
-    print(f"wrote {len(paths)} feature files ({feats[0].width} columns each)")
-    return 0
+
+    def work(run_dir: Path):
+        feats = precompute_dataset(dataset, spec)
+        csv_dir = run_dir / "features"
+        paths = export_csv(dataset, feats, csv_dir)
+        return csv_dir, [f"wrote {len(paths)} feature files ({feats[0].width} columns each)"]
+
+    return f"features-{dataset.name}", "", work
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, config, ["folds", "epochs", "batch", "lr", "k",
-                                       "seed", "jobs", "out", "data_root"])
+def cmd_benchmark(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     if len(kinds) < 2:
         raise DataError("benchmark needs at least two model kinds to compare")
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise DataError(f"unknown model kind {kind!r} in --models")
-    dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
     train_config = _train_config(resolved)
     resolved["models"] = kinds
     resolved["warmup"] = args.warmup
-    run_dir = make_run_dir(Path(resolved["out"]), f"benchmark-{dataset.name}")
-    manifest = RunManifest(
-        command="benchmark",
-        dataset=args.dataset,
-        model=",".join(kinds),
-        config=resolved,
-        seeds=[train_config.seed],
-        started=_now(),
-    )
-    report = benchmark_timing(dataset, kinds, train_config, warmup=args.warmup)
-    report_path = run_dir / "timing.json"
-    report_path.write_text(report.to_json() + "\n")
-    manifest.finished = _now()
-    manifest.outputs = [str(report_path)]
-    manifest.write(run_dir)
-    print(f"run dir: {run_dir}")
-    print(f"{'model':<12} {'epoch (s)':>12} {'speedup vs gcn':>16}")
-    for entry in report.entries:
-        speed = f"{entry.speedup_vs_gcn:.2f}x" if entry.speedup_vs_gcn else "n/a"
-        print(f"{entry.model:<12} {entry.median_epoch_seconds:>12.4f} {speed:>16}")
-    return 0
+
+    def work(run_dir: Path):
+        report = benchmark_timing(dataset, kinds, train_config, warmup=args.warmup)
+        report_path = run_dir / "timing.json"
+        report_path.write_text(report.to_json() + "\n")
+        lines = [f"{'model':<12} {'epoch (s)':>12} {'speedup vs gcn':>16}"]
+        for entry in report.entries:
+            speed = f"{entry.speedup_vs_gcn:.2f}x" if entry.speedup_vs_gcn else "n/a"
+            lines.append(f"{entry.model:<12} {entry.median_epoch_seconds:>12.4f} {speed:>16}")
+        return report_path, lines
+
+    return f"benchmark-{dataset.name}", ",".join(kinds), work
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    resolved = _resolve(args, config, DEFAULTS.keys())
-    dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
+def cmd_ablate(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
     train_config = _train_config(resolved)
     depth_values = None
@@ -349,26 +290,18 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from exc
     resolved["axis"] = args.axis
     resolved["grid"] = depth_values
-    run_dir = make_run_dir(Path(resolved["out"]), f"ablate-{dataset.name}-{args.axis}")
-    manifest = RunManifest(
-        command="ablate",
-        dataset=args.dataset,
-        model=model_config.kind,
-        config=resolved,
-        seeds=[train_config.seed],
-        started=_now(),
-    )
-    rows = ablation_sweep(dataset, args.axis, model_config, train_config,
-                          depth_values=depth_values)
-    csv_path = run_dir / "ablation.csv"
-    write_ablation_csv(rows, train_config, csv_path)
-    manifest.finished = _now()
-    manifest.outputs = [str(csv_path)]
-    manifest.write(run_dir)
-    print(f"run dir: {run_dir}")
-    for row in rows:
-        print(f"{row['value']}: {100 * row['mean_acc']:.2f} ± {100 * row['std_acc']:.2f}")
-    return 0
+
+    def work(run_dir: Path):
+        rows = ablation_sweep(dataset, args.axis, model_config, train_config,
+                              depth_values=depth_values)
+        csv_path = run_dir / "ablation.csv"
+        write_ablation_csv(rows, train_config, csv_path)
+        return csv_path, [
+            f"{row['value']}: {100 * row['mean_acc']:.2f} ± {100 * row['std_acc']:.2f}"
+            for row in rows
+        ]
+
+    return f"ablate-{dataset.name}-{args.axis}", model_config.kind, work
 
 
 COMMANDS = {
@@ -379,11 +312,41 @@ COMMANDS = {
 }
 
 
+def run_command(args: argparse.Namespace) -> int:
+    """The run lifecycle every subcommand shares.
+
+    Loads the config file, resolves options and the dataset, then hands them
+    to the subcommand, which validates them, records derived options in the
+    resolved config and returns (run label, model, work). ``work(run_dir)``
+    writes the one output and returns its path and the lines to print.
+    """
+    resolved = _resolve(args, _load_config_file(args.config))
+    dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
+    label, model, work = COMMANDS[args.command](args, resolved, dataset)
+    run_dir = make_run_dir(Path(resolved["out"]), label)
+    manifest = {
+        "command": f"{args.command} {getattr(args, 'action', '')}".strip(),
+        "dataset": args.dataset,
+        "model": model,
+        "config": resolved,
+        "seeds": [int(resolved["seed"])],
+        "started": _now(),
+    }
+    output, lines = work(run_dir)
+    manifest["finished"] = _now()
+    manifest["outputs"] = [str(output)]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"run dir: {run_dir}")
+    for line in lines:
+        print(line)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return run_command(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -13,13 +13,13 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .features import precompute_dataset
-from .graphs import Dataset, DatasetMeta, normalized_adjacency, stratified_kfold
+from .features import FeatureSpec, precompute_dataset
+from .graphs import Dataset, normalized_adjacency, stratified_kfold
 from .models import BatchedGraphs, ModelConfig, ModelInstance, make_batch
 from .nn import adam_step, softmax_cross_entropy
 from .sparse import CSRMatrix
@@ -39,16 +39,6 @@ class TrainConfig:
             raise ValueError("epochs/batch_size/jobs must be >= 1 and folds >= 2")
         if self.lr < 0:
             raise ValueError("lr must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "folds": self.folds,
-            "seed": self.seed,
-            "jobs": self.jobs,
-        }
 
 
 @dataclass
@@ -98,8 +88,9 @@ def prepare_dataset(
 
 @dataclass
 class FoldTrace:
-    """Per-epoch record for one fold. ``epoch_seconds`` stays out of the JSON
-    form so reports are byte-stable across reruns."""
+    """Per-epoch record for one fold. ``epoch_seconds`` is wall-clock data:
+    ``CVReport.to_json`` leaves it out so reports are byte-stable across
+    reruns; timing reports keep it."""
 
     fold: int
     train_size: int
@@ -108,16 +99,6 @@ class FoldTrace:
     test_acc: list[float] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "train_acc": self.train_acc,
-            "test_acc": self.test_acc,
-            "train_loss": self.train_loss,
-        }
 
 
 def _gather_batch(prepared: PreparedDataset, idx: np.ndarray) -> BatchedGraphs:
@@ -205,21 +186,11 @@ class CVReport:
     per_fold_acc: list[float]
     folds: list[FoldTrace]
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "model": self.model,
-            "model_config": self.model_config,
-            "train_config": self.train_config,
-            "best_epoch": self.best_epoch,
-            "mean_acc": self.mean_acc,
-            "std_acc": self.std_acc,
-            "per_fold_acc": self.per_fold_acc,
-            "folds": [t.to_dict() for t in self.folds],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        payload = asdict(self)
+        for fold in payload["folds"]:
+            del fold["epoch_seconds"]
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def summary(self) -> str:
         return (
@@ -276,8 +247,8 @@ def run_cv(
     return CVReport(
         dataset=dataset.name,
         model=model_config.kind,
-        model_config=model_config.to_dict(),
-        train_config=train_config.to_dict(),
+        model_config=asdict(model_config),
+        train_config=asdict(train_config),
         best_epoch=best,
         mean_acc=mean_acc,
         std_acc=std_acc,
@@ -286,51 +257,9 @@ def run_cv(
     )
 
 
-def subsample_dataset(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Class-stratified random subsample.
-
-    Per-class quotas use largest-remainder rounding so the subsample's class
-    mix tracks the full dataset as closely as integer counts allow.
-    """
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    if fraction == 1.0:
-        return dataset
-    labels = dataset.labels
-    counts = np.bincount(labels, minlength=dataset.num_classes)
-    exact = fraction * counts
-    take = np.floor(exact).astype(np.int64)
-    total = int(round(fraction * len(dataset)))
-    extra = max(total - int(take.sum()), 0)
-    by_remainder = np.lexsort((np.arange(counts.size), -(exact - take)))
-    for cls in by_remainder:
-        if extra == 0:
-            break
-        if take[cls] < counts[cls]:
-            take[cls] += 1
-            extra -= 1
-    rng = np.random.default_rng(np.random.SeedSequence((seed, len(dataset))))
-    keep: list[np.ndarray] = []
-    for cls in range(counts.size):
-        members = np.flatnonzero(labels == cls)
-        if take[cls] < members.size:
-            members = rng.choice(members, size=int(take[cls]), replace=False)
-        keep.append(members)
-    order = np.sort(np.concatenate(keep))
-    return Dataset(
-        name=f"{dataset.name}-sub{fraction:g}",
-        graphs=[dataset.graphs[i] for i in order],
-        num_classes=dataset.num_classes,
-        feature_dim=dataset.feature_dim,
-        meta=DatasetMeta(),
-    )
-
-
 def feature_ablation_cells():
     """The eight input configurations swept in the feature ablation: raw
     features always on, degrees on or off, propagation depth 0 to 3."""
-    from .features import FeatureSpec
-
     cells = []
     for use_degree in (False, True):
         for K in (0, 1, 2, 3):
@@ -354,51 +283,34 @@ def ablation_sweep(
 ) -> list[dict]:
     """Sweep either the feature configuration ('features') or the number of
     per-node transform layers ('depth'); returns one result row per cell."""
-    rows = []
     if axis == "features":
-        for name, spec in feature_ablation_cells():
-            cfg = ModelConfig(
-                kind=model_config.kind,
-                num_classes=model_config.num_classes,
-                hidden_dim=model_config.hidden_dim,
-                num_conv_layers=model_config.num_conv_layers,
-                feature_spec=spec,
-            )
-            report = run_cv(dataset, cfg, train_config, cache_dir)
-            rows.append(
-                {
-                    "axis": "features",
-                    "value": name,
-                    "mean_acc": report.mean_acc,
-                    "std_acc": report.std_acc,
-                    "best_epoch": report.best_epoch,
-                }
-            )
+        cells = [
+            (name, replace(model_config, feature_spec=spec))
+            for name, spec in feature_ablation_cells()
+        ]
     elif axis == "depth":
         if not depth_values:
             raise ValueError("depth axis needs at least one layer count")
-        for depth in depth_values:
-            if depth < 0:
-                raise ValueError("layer counts must be nonnegative")
-            cfg = ModelConfig(
-                kind=model_config.kind,
-                num_classes=model_config.num_classes,
-                hidden_dim=model_config.hidden_dim,
-                num_conv_layers=int(depth),
-                feature_spec=model_config.feature_spec,
-            )
-            report = run_cv(dataset, cfg, train_config, cache_dir)
-            rows.append(
-                {
-                    "axis": "depth",
-                    "value": int(depth),
-                    "mean_acc": report.mean_acc,
-                    "std_acc": report.std_acc,
-                    "best_epoch": report.best_epoch,
-                }
-            )
+        if any(depth < 0 for depth in depth_values):
+            raise ValueError("layer counts must be nonnegative")
+        cells = [
+            (int(depth), replace(model_config, num_conv_layers=int(depth)))
+            for depth in depth_values
+        ]
     else:
         raise ValueError(f"unknown ablation axis {axis!r}")
+    rows = []
+    for value, cfg in cells:
+        report = run_cv(dataset, cfg, train_config, cache_dir)
+        rows.append(
+            {
+                "axis": axis,
+                "value": value,
+                "mean_acc": report.mean_acc,
+                "std_acc": report.std_acc,
+                "best_epoch": report.best_epoch,
+            }
+        )
     return rows
 
 
@@ -420,15 +332,6 @@ class TimingEntry:
     median_epoch_seconds: float
     speedup_vs_gcn: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "feature_seconds": self.feature_seconds,
-            "epoch_seconds": self.epoch_seconds,
-            "median_epoch_seconds": self.median_epoch_seconds,
-            "speedup_vs_gcn": self.speedup_vs_gcn,
-        }
-
 
 @dataclass
 class TimingReport:
@@ -438,17 +341,8 @@ class TimingReport:
     seed: int
     entries: list[TimingEntry]
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "epochs": self.epochs,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def benchmark_timing(

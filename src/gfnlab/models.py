@@ -9,9 +9,7 @@ transform; GLN pools the input features directly into one linear classifier.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +50,6 @@ class ModelConfig:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
         if self.feature_spec is None:
             self.feature_spec = default_feature_spec(self.kind)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["feature_spec"] = FeatureSpec(**d["feature_spec"])
-        return cls(**d)
 
 
 @dataclass
@@ -171,9 +159,6 @@ class ModelInstance:
     def needs_adjacency(self) -> bool:
         return self.config.kind == "gcn"
 
-    def batch_norms(self) -> list[BatchNorm]:
-        return [bn for _, bn, _ in self.node_blocks]
-
     def forward(self, batch: BatchedGraphs, train: bool = True) -> np.ndarray:
         if batch.features.shape[1] != self.input_dim:
             raise ValueError(
@@ -207,10 +192,6 @@ class ModelInstance:
             g = transform.backward(g)
 
 
-def build_model(config: ModelConfig, input_dim: int, seed: int = 0) -> ModelInstance:
-    return ModelInstance(config, input_dim, seed)
-
-
 def collapse_linear_gcn(conv_weights: list[np.ndarray], adj: CSRMatrix, X: np.ndarray) -> np.ndarray:
     """Single-linear-map form of a K-layer aggregation stack with identity
     activations: propagate X through the adjacency K times, then apply the
@@ -239,6 +220,7 @@ def make_batch(
     adjacencies: list[CSRMatrix] | None = None,
 ) -> BatchedGraphs:
     """Stack per-graph feature matrices (and optionally adjacencies) into a batch."""
+    # imported at call time: perfbench/layers.py patches only gfnlab.sparse.block_diag
     from .sparse import block_diag
 
     seg = SegmentIndex.from_sizes([f.shape[0] for f in features])
@@ -246,34 +228,3 @@ def make_batch(
     adj = block_diag(adjacencies) if adjacencies is not None else None
     return BatchedGraphs(stacked, seg, np.asarray(labels, dtype=np.int64), adj)
 
-
-def save_checkpoint(model: ModelInstance, path: Path | str) -> None:
-    """Self-describing snapshot: config, parameter tensors, and the batch-norm
-    running statistics, all in 32-bit row-major layout."""
-    path = Path(path)
-    arrays = {f"param/{p.name}": p.value for p in model.params}
-    for i, bn in enumerate(model.batch_norms()):
-        arrays[f"bnstat/{i}/running_mean"] = bn.running_mean
-        arrays[f"bnstat/{i}/running_var"] = bn.running_var
-    header = {
-        "config": model.config.to_dict(),
-        "input_dim": model.input_dim,
-        "params": [{"name": p.name, "shape": list(p.value.shape)} for p in model.params],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, header=np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8), **arrays)
-
-
-def load_checkpoint(path: Path | str) -> ModelInstance:
-    with np.load(Path(path)) as npz:
-        header = json.loads(bytes(npz["header"]))
-        model = ModelInstance(ModelConfig.from_dict(header["config"]), header["input_dim"])
-        for p in model.params:
-            stored = npz[f"param/{p.name}"]
-            if stored.shape != p.value.shape:
-                raise ValueError(f"checkpoint shape mismatch for {p.name}")
-            p.value[...] = stored
-        for i, bn in enumerate(model.batch_norms()):
-            bn.running_mean[...] = npz[f"bnstat/{i}/running_mean"]
-            bn.running_var[...] = npz[f"bnstat/{i}/running_var"]
-    return model

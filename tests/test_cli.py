@@ -151,11 +151,49 @@ class TestAblateCommand:
         assert code == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_negative_grid_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = run(["ablate", "--dataset", "synthetic", "--axis", "depth",
+                    "--grid=-1..1", "--out", str(out)])
+        assert code == 2
+        assert "negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_depth_without_grid_is_usage_error(self, tmp_path, capsys):
         code = run(["ablate", "--dataset", "synthetic", "--axis", "depth",
                     "--out", str(tmp_path / "r")])
         assert code == 2
         assert "--grid" in capsys.readouterr().err
+
+
+# subcommand -> (its own flags, manifest command, manifest model, output name)
+MANIFEST_CASES = {
+    "cv": (["cv", "--model", "gln"], "cv", "gln", "report.json"),
+    "features": (["features", "export"], "features export", "", "features"),
+    "benchmark": (["benchmark", "--models", "gcn,gln"], "benchmark",
+                  "gcn,gln", "timing.json"),
+    "ablate": (["ablate", "--model", "gln", "--axis", "depth", "--grid", "0"], "ablate",
+               "gln", "ablation.csv"),
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("subcommand", list(MANIFEST_CASES))
+    def test_every_subcommand_writes_the_same_manifest(self, tmp_path, subcommand):
+        flags, command, model, output = MANIFEST_CASES[subcommand]
+        out = tmp_path / "runs"
+        code = run(flags + ["--dataset", "synthetic", "--epochs", "2", "--folds", "2",
+                            "--seed", "3", "--out", str(out)])
+        assert code == 0
+        run_dir = single_run_dir(out)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert set(manifest) == {"command", "dataset", "model", "config", "seeds",
+                                 "started", "finished", "outputs"}
+        assert manifest["command"] == command
+        assert manifest["model"] == model
+        assert manifest["seeds"] == [3]
+        assert manifest["outputs"] == [str(run_dir / output)]
+        assert (run_dir / output).exists()
 
 
 class TestGridParser:

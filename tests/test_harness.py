@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from gfnlab.graphs import generate_dense_synthetic, generate_synthetic_dataset
+from gfnlab import harness
 from gfnlab.harness import (
+    CVReport,
     FoldTrace,
+    TimingEntry,
+    TimingReport,
     TrainConfig,
     ablation_sweep,
     benchmark_timing,
@@ -13,7 +17,6 @@ from gfnlab.harness import (
     prepare_dataset,
     run_cv,
     select_best_epoch,
-    subsample_dataset,
     train_fold,
     write_ablation_csv,
 )
@@ -96,8 +99,16 @@ class TestTrainFold:
         assert len(trace.epoch_seconds) == 2
 
     def test_trace_json_form_has_no_timings(self):
+        """Epoch wall times stay out of report.json at any depth but stay in
+        every timing.json entry."""
         trace = FoldTrace(0, 5, 5, test_acc=[0.5], epoch_seconds=[0.123])
-        assert "epoch_seconds" not in trace.to_dict()
+        report = CVReport("d", "gln", {}, {}, 0, 0.5, 0.0, [0.5], [trace, trace])
+        assert "epoch_seconds" not in report.to_json()
+        assert trace.epoch_seconds == [0.123]
+        timing = TimingReport("d", 2, 1, 0, [TimingEntry("gcn", 0.0, [0.3, 0.2], 0.2),
+                                             TimingEntry("gln", 0.0, [0.1, 0.1], 0.1)])
+        entries = json.loads(timing.to_json())["entries"]
+        assert [e["epoch_seconds"] for e in entries] == [[0.3, 0.2], [0.1, 0.1]]
 
 
 class TestRunCV:
@@ -143,40 +154,6 @@ class TestRunCV:
         assert "± " in report.summary() and "@ epoch" in report.summary()
 
 
-class TestSubsample:
-    def test_largest_remainder_quotas(self):
-        # class counts 7/5/3 at fraction 1/2: floors are 3/2/1, the two
-        # leftover slots go to the largest remainders (ties by class index)
-        from gfnlab.graphs import AttributedGraph, Dataset
-
-        base = generate_synthetic_dataset(15, seed=6)
-        labels = [0] * 7 + [1] * 5 + [2] * 3
-        graphs = [AttributedGraph(g.graph, g.node_features, y)
-                  for g, y in zip(base.graphs, labels)]
-        ds = Dataset("quota", graphs, num_classes=3, feature_dim=1)
-        sub = subsample_dataset(ds, 0.5, seed=0)
-        counts = np.bincount(sub.labels, minlength=3)
-        assert counts.sum() == round(0.5 * 15)
-        np.testing.assert_array_equal(counts, [4, 3, 1])
-
-    def test_full_fraction_is_identity(self):
-        ds = generate_synthetic_dataset(10, seed=7)
-        assert subsample_dataset(ds, 1.0, seed=0) is ds
-
-    def test_fraction_bounds(self):
-        ds = generate_synthetic_dataset(10, seed=7)
-        with pytest.raises(ValueError):
-            subsample_dataset(ds, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            subsample_dataset(ds, 1.5, seed=0)
-
-    def test_deterministic(self):
-        ds = generate_synthetic_dataset(30, seed=8)
-        a = subsample_dataset(ds, 0.4, seed=3)
-        b = subsample_dataset(ds, 0.4, seed=3)
-        assert [id(g) for g in a.graphs] == [id(g) for g in b.graphs]
-
-
 class TestAblation:
     def test_feature_cells_cover_the_grid(self):
         cells = feature_ablation_cells()
@@ -207,6 +184,16 @@ class TestAblation:
             ablation_sweep(ds, "width", cfg, tiny_config())
         with pytest.raises(ValueError, match="layer count"):
             ablation_sweep(ds, "depth", cfg, tiny_config(), depth_values=[])
+
+    def test_negative_depth_rejected_before_any_cell_trains(self, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("a cell trained before the grid was validated")
+
+        monkeypatch.setattr(harness, "run_cv", train)
+        ds = generate_synthetic_dataset(8, seed=9)
+        cfg = ModelConfig(kind="gfn", num_classes=2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ablation_sweep(ds, "depth", cfg, tiny_config(), depth_values=[1, -1])
 
 
 class TestBenchmark:

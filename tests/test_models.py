@@ -7,11 +7,8 @@ from gfnlab.models import (
     GraphConv,
     ModelConfig,
     ModelInstance,
-    build_model,
     collapse_linear_gcn,
-    load_checkpoint,
     make_batch,
-    save_checkpoint,
 )
 from gfnlab.nn import softmax_cross_entropy
 from gfnlab.sparse import spmm
@@ -37,18 +34,13 @@ class TestModelConfig:
         assert ModelConfig(kind="gfn", num_classes=2).feature_spec.K == 3
         assert ModelConfig(kind="gln", num_classes=2).feature_spec.use_degree
 
-    def test_dict_round_trip(self):
-        cfg = ModelConfig(kind="gfn-light", num_classes=4, hidden_dim=32)
-        again = ModelConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-
 
 class TestParameterCounts:
     def test_gcn_default_closed_form(self):
         """1 input dense + 3 aggregating transforms + 2 head layers at width
         128, each node block carrying a 2*128-parameter normalization."""
         in_dim, h, c = 20, 128, 2
-        model = build_model(ModelConfig(kind="gcn", num_classes=c), in_dim, seed=0)
+        model = ModelInstance(ModelConfig(kind="gcn", num_classes=c), in_dim, seed=0)
         expected = (
             (in_dim * h + h)        # input transform
             + 3 * (h * h + h)       # aggregating transforms
@@ -59,19 +51,19 @@ class TestParameterCounts:
         assert model.params.total_size() == expected
 
     def test_gfn_matches_gcn_count(self):
-        a = build_model(ModelConfig(kind="gcn", num_classes=3), 17, seed=0)
-        b = build_model(ModelConfig(kind="gfn", num_classes=3), 17, seed=0)
+        a = ModelInstance(ModelConfig(kind="gcn", num_classes=3), 17, seed=0)
+        b = ModelInstance(ModelConfig(kind="gfn", num_classes=3), 17, seed=0)
         assert a.params.total_size() == b.params.total_size()
 
     def test_gln_is_one_affine_map(self):
         f, c = 23, 5
-        model = build_model(ModelConfig(kind="gln", num_classes=c), f, seed=0)
+        model = ModelInstance(ModelConfig(kind="gln", num_classes=c), f, seed=0)
         assert model.params.total_size() == f * c + c
 
     def test_gfn_light_single_transform(self):
         f, h, c = 11, 64, 3
         cfg = ModelConfig(kind="gfn-light", num_classes=c, hidden_dim=h)
-        model = build_model(cfg, f, seed=0)
+        model = ModelInstance(cfg, f, seed=0)
         expected = (f * h + h) + (2 * h) + (h * h + h) + (h * c + c)
         assert model.params.total_size() == expected
 
@@ -148,8 +140,8 @@ class TestMirrorConstruction:
     def test_same_seed_gives_identical_parameters(self):
         """The aggregating model and its feature-moved twin consume the seed
         stream in the same order, so their initial tensors match bitwise."""
-        gcn = build_model(ModelConfig(kind="gcn", num_classes=3), 13, seed=42)
-        gfn = build_model(ModelConfig(kind="gfn", num_classes=3), 13, seed=42)
+        gcn = ModelInstance(ModelConfig(kind="gcn", num_classes=3), 13, seed=42)
+        gfn = ModelInstance(ModelConfig(kind="gfn", num_classes=3), 13, seed=42)
         assert gcn.params.names() == gfn.params.names()
         for a, b in zip(gcn.params, gfn.params):
             np.testing.assert_array_equal(a.value, b.value)
@@ -168,8 +160,8 @@ class TestMirrorConstruction:
         labels = np.array([0, 1, 2])
         gcn_cfg = ModelConfig(kind="gcn", num_classes=3, feature_spec=spec)
         gfn_cfg = ModelConfig(kind="gfn", num_classes=3, feature_spec=spec)
-        gcn = build_model(gcn_cfg, feats[0].shape[1], seed=5)
-        gfn = build_model(gfn_cfg, feats[0].shape[1], seed=5)
+        gcn = ModelInstance(gcn_cfg, feats[0].shape[1], seed=5)
+        gfn = ModelInstance(gfn_cfg, feats[0].shape[1], seed=5)
         out_gcn = gcn.forward(make_batch(feats, labels, adjs), train=False)
         out_gfn = gfn.forward(make_batch(feats, labels), train=False)
         np.testing.assert_array_equal(out_gcn, out_gfn)
@@ -187,7 +179,7 @@ class TestForward:
             feats.append(f)
             adjs.append(a)
             labels.append(i % 4)
-        model = build_model(cfg, feats[0].shape[1], seed=0)
+        model = ModelInstance(cfg, feats[0].shape[1], seed=0)
         batch = make_batch(feats, np.array(labels), adjs if kind == "gcn" else None)
         logits = model.forward(batch, train=False)
         assert logits.shape == (5, 4)
@@ -206,7 +198,7 @@ class TestForward:
                                         degree_cap=8)
             feats.append(f)
             adjs.append(a)
-        model = build_model(cfg, feats[0].shape[1], seed=1)
+        model = ModelInstance(cfg, feats[0].shape[1], seed=1)
         labels = np.zeros(6, dtype=np.int64)
         whole = model.forward(
             make_batch(feats, labels, adjs if kind == "gcn" else None), train=False)
@@ -239,7 +231,7 @@ class TestForward:
                 feats = augment(graph, x, cfg.feature_spec, n).matrix.astype(np.float32)
                 adj = normalized_adjacency(graph, cfg.feature_spec.epsilon).matrix.astype(np.float32)
                 if model is None:
-                    model = build_model(cfg, feats.shape[1], seed=trial)
+                    model = ModelInstance(cfg, feats.shape[1], seed=trial)
                 batch = make_batch([feats], np.array([0]), [adj] if kind == "gcn" else None)
                 outs.append(model.forward(batch, train=False))
             np.testing.assert_allclose(outs[0], outs[1], atol=1e-5)
@@ -248,7 +240,7 @@ class TestForward:
         rng = np.random.default_rng(7)
         cfg = ModelConfig(kind="gln", num_classes=3)
         feats = [rng.standard_normal((n, 6)).astype(np.float32) for n in (3, 5, 2)]
-        model = build_model(cfg, 6, seed=0)
+        model = ModelInstance(cfg, 6, seed=0)
         batch = make_batch(feats, np.array([0, 1, 2]))
         logits = model.forward(batch, train=False)
         W = model.params["head0.weight"].value
@@ -258,61 +250,18 @@ class TestForward:
 
     def test_gcn_without_adjacency_rejected(self):
         cfg = ModelConfig(kind="gcn", num_classes=2)
-        model = build_model(cfg, 4, seed=0)
+        model = ModelInstance(cfg, 4, seed=0)
         batch = make_batch([np.ones((2, 4), dtype=np.float32)], np.array([0]))
         with pytest.raises(ValueError, match="adjacency"):
             model.forward(batch, train=False)
 
     def test_wrong_feature_width_rejected(self):
-        model = build_model(ModelConfig(kind="gln", num_classes=2), 4, seed=0)
+        model = ModelInstance(ModelConfig(kind="gln", num_classes=2), 4, seed=0)
         batch = make_batch([np.ones((2, 3), dtype=np.float32)], np.array([0]))
         with pytest.raises(ValueError, match="feature columns"):
             model.forward(batch, train=False)
 
     def test_needs_adjacency_flag(self):
-        assert build_model(ModelConfig(kind="gcn", num_classes=2), 3).needs_adjacency
-        assert not build_model(ModelConfig(kind="gfn", num_classes=2), 3).needs_adjacency
+        assert ModelInstance(ModelConfig(kind="gcn", num_classes=2), 3).needs_adjacency
+        assert not ModelInstance(ModelConfig(kind="gfn", num_classes=2), 3).needs_adjacency
 
-
-class TestCheckpoint:
-    def test_round_trip_preserves_outputs(self, tmp_path):
-        rng = np.random.default_rng(8)
-        cfg = ModelConfig(kind="gfn", num_classes=3, hidden_dim=16)
-        feats = [rng.standard_normal((4, 9)).astype(np.float32) for _ in range(4)]
-        labels = np.array([0, 1, 2, 0])
-        model = build_model(cfg, 9, seed=3)
-        batch = make_batch(feats, labels)
-        # leave the starting point: one training step moves parameters and
-        # batch-norm running statistics away from their initial values
-        from gfnlab.nn import adam_step
-
-        logits = model.forward(batch, train=True)
-        _, grad = softmax_cross_entropy(logits, labels)
-        model.backward(grad)
-        adam_step(model.params, lr=0.01)
-
-        before = model.forward(batch, train=False)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(model, path)
-        restored = load_checkpoint(path)
-        assert restored.config == model.config
-        after = restored.forward(batch, train=False)
-        np.testing.assert_array_equal(before, after)
-        for p, q in zip(model.params, restored.params):
-            assert p.name == q.name
-            np.testing.assert_array_equal(p.value, q.value)
-
-    def test_shape_mismatch_detected(self, tmp_path):
-        import json
-
-        model = build_model(ModelConfig(kind="gln", num_classes=2), 4, seed=0)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(model, path)
-        with np.load(path) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-        header = json.loads(bytes(arrays["header"]))
-        header["input_dim"] = 7  # stored tensors no longer fit
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            load_checkpoint(path)
