@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .features import FeatureSpec, export_csv, precompute_dataset
 from .graphs import DataError, Dataset, generate_dense_synthetic, generate_synthetic_dataset
@@ -49,9 +53,13 @@ SYNTHETIC_SEED = 7
 SYNTHETIC_SIZE = 200
 SYNTHETIC_DENSE_SIZE = 64
 
+# BLAS thread settings recorded in the manifest: float32 results, and so the
+# report bytes, can depend on them.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class UsageError(Exception):
-    """Bad flag combinations detected after argparse (maps to exit 2)."""
+    """Bad option values or combinations found after argparse (maps to exit 2)."""
 
 
 def _now() -> str:
@@ -135,11 +143,7 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
 
 
 def _resolve_k(k, model_kind: str) -> int:
-    if k is not None:
-        if k < 0:
-            raise DataError("--k must be nonnegative")
-        return int(k)
-    return default_feature_spec(model_kind).K
+    return default_feature_spec(model_kind).K if k is None else int(k)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
@@ -261,6 +265,8 @@ def cmd_benchmark(args: argparse.Namespace, resolved: dict, dataset: Dataset):
         if kind not in MODEL_KINDS:
             raise DataError(f"unknown model kind {kind!r} in --models")
     train_config = _train_config(resolved)
+    if not 0 <= args.warmup < train_config.epochs:
+        raise UsageError(f"--warmup must be >= 0 and below --epochs ({train_config.epochs})")
     resolved["models"] = kinds
     resolved["warmup"] = args.warmup
 
@@ -284,10 +290,7 @@ def cmd_ablate(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     if args.axis == "depth":
         if not args.grid:
             raise UsageError("--axis depth requires --grid (e.g. 1..5)")
-        try:
-            depth_values = parse_grid(args.grid)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        depth_values = parse_grid(args.grid)
     resolved["axis"] = args.axis
     resolved["grid"] = depth_values
 
@@ -317,19 +320,30 @@ def run_command(args: argparse.Namespace) -> int:
 
     Loads the config file, resolves options and the dataset, then hands them
     to the subcommand, which validates them, records derived options in the
-    resolved config and returns (run label, model, work). ``work(run_dir)``
-    writes the one output and returns its path and the lines to print.
+    resolved config and returns (run label, model, work). A value the options
+    or configs reject there is a usage error, raised before the run dir
+    exists. ``work(run_dir)`` writes the one output and returns its path and
+    the lines to print.
     """
     resolved = _resolve(args, _load_config_file(args.config))
     dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
-    label, model, work = COMMANDS[args.command](args, resolved, dataset)
+    try:
+        label, model, work = COMMANDS[args.command](args, resolved, dataset)
+        seed = int(resolved["seed"])
+    except (TypeError, ValueError) as exc:  # int("ten"), int(None), TrainConfig(epochs=0), ...
+        raise UsageError(str(exc)) from exc
     run_dir = make_run_dir(Path(resolved["out"]), label)
     manifest = {
         "command": f"{args.command} {getattr(args, 'action', '')}".strip(),
         "dataset": args.dataset,
         "model": model,
         "config": resolved,
-        "seeds": [int(resolved["seed"])],
+        "seeds": [seed],
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            **{var: os.environ.get(var) for var in THREAD_VARS},
+        },
         "started": _now(),
     }
     output, lines = work(run_dir)

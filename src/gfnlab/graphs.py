@@ -115,13 +115,11 @@ class AttributedGraph:
 
 @dataclass
 class DatasetMeta:
-    """Optional reference statistics used to validate a parsed dataset."""
+    """Optional reference counts used to validate a parsed dataset."""
 
     expected_graph_count: int | None = None
     expected_class_count: int | None = None
     expected_feature_dim: int | None = None
-    avg_nodes: float | None = None
-    avg_edges: float | None = None
 
 
 @dataclass

@@ -66,17 +66,13 @@ class BatchedGraphs:
     adjacency: CSRMatrix | None = None
 
     def __post_init__(self):
-        if self.features.shape[0] != self.seg.graph_ids.size:
+        if self.features.shape[0] != self.seg.num_rows:
             raise ValueError("feature rows must match the segment index")
         if self.adjacency is not None and self.adjacency.shape != (
             self.features.shape[0],
             self.features.shape[0],
         ):
             raise ValueError("adjacency must be square over the stacked nodes")
-
-    @property
-    def num_graphs(self) -> int:
-        return self.seg.num_segments
 
 
 class GraphConv:

@@ -14,56 +14,48 @@ import numpy as np
 
 @dataclass
 class Parameter:
-    """A trainable array with its gradient buffer and Adam state."""
+    """A trainable array with its gradient buffer."""
 
     name: str
     value: np.ndarray
     grad: np.ndarray = None
-    m: np.ndarray = None
-    v: np.ndarray = None
-    step: int = 0
 
     def __post_init__(self):
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
-        if self.m is None:
-            self.m = np.zeros_like(self.value)
-        if self.v is None:
-            self.v = np.zeros_like(self.value)
 
 
 class ParameterSet:
-    """Ordered, name-addressed collection of parameters."""
+    """Ordered, name-addressed parameters whose values and gradients are
+    views of the flat ``value`` and ``grad`` buffers, so Adam (state ``m``,
+    ``v``, ``step``) updates them all at once."""
 
-    def __init__(self, params=()):
+    def __init__(self, params):
         self._params: dict[str, Parameter] = {}
         for p in params:
-            self.add(p)
-
-    def add(self, param: Parameter) -> Parameter:
-        if param.name in self._params:
-            raise ValueError(f"duplicate parameter name {param.name!r}")
-        self._params[param.name] = param
-        return param
+            if p.name in self._params:
+                raise ValueError(f"duplicate parameter name {p.name!r}")
+            self._params[p.name] = p
+        dtypes = {a.dtype for p in self for a in (p.value, p.grad)}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        self.value = np.concatenate([p.value.ravel() for p in self])
+        self.grad = np.concatenate([p.grad.ravel() for p in self])
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
+        self.step = 0
+        start = 0
+        for p in self:
+            end = start + p.value.size
+            p.value = self.value[start:end].reshape(p.value.shape)
+            p.grad = self.grad[start:end].reshape(p.value.shape)
+            start = end
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
     def __iter__(self):
         return iter(self._params.values())
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def zero_grads(self) -> None:
-        for p in self:
-            p.grad[...] = 0
-
-    def total_size(self) -> int:
-        return sum(p.value.size for p in self)
 
 
 def adam_step(
@@ -73,15 +65,21 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update per parameter; gradients are zeroed after."""
-    for p in params:
-        p.step += 1
-        p.m[...] = beta1 * p.m + (1 - beta1) * p.grad
-        p.v[...] = beta2 * p.v + (1 - beta2) * p.grad**2
-        m_hat = p.m / (1 - beta1**p.step)
-        v_hat = p.v / (1 - beta2**p.step)
-        p.value[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        p.grad[...] = 0
+    """One bias-corrected Adam update of every parameter; gradients are zeroed after.
+    In place, with the roundings of ``value -= lr * m_hat / (sqrt(v_hat) + eps)``."""
+    params.step += 1
+    m, v, g = params.m, params.v, params.grad
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g**2
+    denom = np.sqrt(v / (1 - beta2**params.step))
+    denom += eps
+    update = m / (1 - beta1**params.step)
+    update *= lr
+    update /= denom
+    params.value -= update
+    g[...] = 0
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -185,24 +183,23 @@ class BatchNorm:
 
 @dataclass
 class SegmentIndex:
-    """Maps each row of a stacked node matrix to its graph within a batch."""
+    """Maps the rows of a stacked node matrix to graphs within a batch: graph
+    g owns rows ``offsets[g]:offsets[g + 1]``."""
 
-    graph_ids: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self):
-        self.graph_ids = np.ascontiguousarray(self.graph_ids, dtype=np.int64)
         self.offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        if (np.diff(self.graph_ids) < 0).any():
-            raise ValueError("segment ids must be nondecreasing")
-        if self.offsets[0] != 0 or self.offsets[-1] != self.graph_ids.size:
-            raise ValueError("offsets must partition the row range")
+        if self.offsets[0] != 0 or (np.diff(self.offsets) < 0).any():
+            raise ValueError("offsets must start at 0 and never decrease")
 
     @classmethod
     def from_sizes(cls, sizes) -> "SegmentIndex":
-        sizes = np.asarray(sizes, dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        return cls(np.repeat(np.arange(sizes.size), sizes), offsets)
+        return cls(np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]))
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.offsets[-1])
 
     @property
     def num_segments(self) -> int:
@@ -215,7 +212,7 @@ class SegmentIndex:
 
 def segment_sum(x: np.ndarray, seg: SegmentIndex) -> np.ndarray:
     """Row g of the output is the sum of x's rows belonging to graph g."""
-    if x.shape[0] != seg.graph_ids.size:
+    if x.shape[0] != seg.num_rows:
         raise ValueError("segment index does not cover all rows")
     out = np.zeros((seg.num_segments, x.shape[1]), dtype=x.dtype)
     nonempty = np.flatnonzero(seg.sizes > 0)

@@ -18,20 +18,19 @@ from .graphs import (
     StructureError,
 )
 
-# Reference statistics for the common benchmarks, keyed by directory name.
-# Graph/class counts are enforced exactly after parsing; the rest are
-# documentation and test anchors.
+# Reference counts for the common benchmarks, keyed by directory name:
+# graphs, classes and feature columns, each enforced exactly after parsing.
 KNOWN_DATASETS: dict[str, DatasetMeta] = {
-    "MUTAG": DatasetMeta(188, 2, 7, avg_nodes=17.93, avg_edges=19.79),
-    "NCI1": DatasetMeta(4110, 2, 37, avg_nodes=29.87, avg_edges=32.30),
-    "PROTEINS": DatasetMeta(1113, 2, 4, avg_nodes=39.06, avg_edges=72.82),
-    "DD": DatasetMeta(1178, 2, 82, avg_nodes=284.32, avg_edges=715.66),
-    "ENZYMES": DatasetMeta(600, 6, 21, avg_nodes=32.63, avg_edges=62.14),
-    "COLLAB": DatasetMeta(5000, 3, 1, avg_nodes=74.49, avg_edges=2457.78),
-    "IMDB-BINARY": DatasetMeta(1000, 2, 1, avg_nodes=19.77, avg_edges=96.53),
-    "IMDB-MULTI": DatasetMeta(1500, 3, 1, avg_nodes=13.00, avg_edges=65.94),
-    "REDDIT-MULTI-5K": DatasetMeta(4999, 5, 1, avg_nodes=508.52, avg_edges=594.87),
-    "REDDIT-MULTI-12K": DatasetMeta(11929, 11, 1, avg_nodes=391.41, avg_edges=456.89),
+    "MUTAG": DatasetMeta(188, 2, 7),
+    "NCI1": DatasetMeta(4110, 2, 37),
+    "PROTEINS": DatasetMeta(1113, 2, 4),
+    "DD": DatasetMeta(1178, 2, 82),
+    "ENZYMES": DatasetMeta(600, 6, 21),
+    "COLLAB": DatasetMeta(5000, 3, 1),
+    "IMDB-BINARY": DatasetMeta(1000, 2, 1),
+    "IMDB-MULTI": DatasetMeta(1500, 3, 1),
+    "REDDIT-MULTI-5K": DatasetMeta(4999, 5, 1),
+    "REDDIT-MULTI-12K": DatasetMeta(11929, 11, 1),
 }
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -107,6 +109,32 @@ class TestFeaturesCommand:
         np.testing.assert_array_equal(body, [[0.25, 1.5], [2.0, -3.5]])
 
 
+# argument lists that argparse accepts but the run must refuse as usage errors;
+# "@config" stands for a --config file holding {"epochs": "ten"}
+BAD_OPTION_CASES = {
+    "zero-epochs": ["cv", "--epochs", "0"],
+    "one-fold": ["cv", "--folds", "1"],
+    "non-numeric-config": ["cv", "--config", "@config"],
+    "epochs-not-above-warmup": ["benchmark", "--epochs", "1"],
+    "negative-warmup": ["benchmark", "--epochs", "3", "--warmup", "-1"],
+    "negative-k": ["cv", "--k", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OPTION_CASES))
+def test_bad_options_exit_two_before_any_run_dir(tmp_path, capsys, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": "ten"}))
+    args = [str(cfg) if a == "@config" else a for a in BAD_OPTION_CASES[case]]
+    out = tmp_path / "runs"
+    code = run(args + ["--dataset", "synthetic", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestBenchmarkCommand:
     def test_speedup_table(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -187,8 +215,12 @@ class TestManifest:
         assert code == 0
         run_dir = single_run_dir(out)
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert set(manifest) == {"command", "dataset", "model", "config", "seeds",
+        assert set(manifest) == {"command", "dataset", "model", "config", "seeds", "env",
                                  "started", "finished", "outputs"}
+        assert manifest["env"]["python"] == platform.python_version()
+        assert manifest["env"]["numpy"] == np.__version__
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert manifest["env"][var] == os.environ.get(var)
         assert manifest["command"] == command
         assert manifest["model"] == model
         assert manifest["seeds"] == [3]

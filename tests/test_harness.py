@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ class TestBenchmark:
         assert by_model["gfn-light"].speedup_vs_gcn > 0
         assert report.seed == 0
 
+    def test_no_gcn_entry_leaves_speedups_unset_without_a_warning(self):
+        ds = generate_synthetic_dataset(16, seed=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = benchmark_timing(ds, ["gln", "gfn-light"], tiny_config(epochs=2, folds=2),
+                                      warmup=1)
+        assert [e.speedup_vs_gcn for e in report.entries] == [None, None]
+
     def test_median_excludes_warmup(self):
         ds = generate_synthetic_dataset(16, seed=10)
         report = benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=4, folds=2),
@@ -219,6 +228,8 @@ class TestBenchmark:
         ds = generate_synthetic_dataset(8, seed=10)
         with pytest.raises(ValueError):
             benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=1), warmup=1)
+        with pytest.raises(ValueError):
+            benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=3), warmup=-1)
 
     def test_deeper_stacks_cost_more_time(self):
         """Workload monotonicity: tripling the aggregating layers must not

@@ -48,24 +48,34 @@ class TestParameterCounts:
             + (h * h + h)           # head hidden
             + (h * c + c)           # classifier
         )
-        assert model.params.total_size() == expected
+        assert model.params.value.size == expected
 
     def test_gfn_matches_gcn_count(self):
         a = ModelInstance(ModelConfig(kind="gcn", num_classes=3), 17, seed=0)
         b = ModelInstance(ModelConfig(kind="gfn", num_classes=3), 17, seed=0)
-        assert a.params.total_size() == b.params.total_size()
+        assert a.params.value.size == b.params.value.size
 
     def test_gln_is_one_affine_map(self):
         f, c = 23, 5
         model = ModelInstance(ModelConfig(kind="gln", num_classes=c), f, seed=0)
-        assert model.params.total_size() == f * c + c
+        assert model.params.value.size == f * c + c
 
     def test_gfn_light_single_transform(self):
         f, h, c = 11, 64, 3
         cfg = ModelConfig(kind="gfn-light", num_classes=c, hidden_dim=h)
         model = ModelInstance(cfg, f, seed=0)
         expected = (f * h + h) + (2 * h) + (h * h + h) + (h * c + c)
-        assert model.params.total_size() == expected
+        assert model.params.value.size == expected
+
+    @pytest.mark.parametrize("kind", ["gcn", "gfn", "gfn-light", "gln"])
+    def test_parameters_are_views_of_the_flat_buffers(self, kind):
+        model = ModelInstance(ModelConfig(kind=kind, num_classes=3), 9, seed=0)
+        params = model.params
+        for p in params:
+            assert np.shares_memory(p.value, params.value)
+            assert np.shares_memory(p.grad, params.grad)
+        assert sum(p.value.size for p in params) == params.value.size
+        assert sum(p.grad.size for p in params) == params.grad.size
 
 
 class TestGraphConv:
@@ -142,7 +152,7 @@ class TestMirrorConstruction:
         stream in the same order, so their initial tensors match bitwise."""
         gcn = ModelInstance(ModelConfig(kind="gcn", num_classes=3), 13, seed=42)
         gfn = ModelInstance(ModelConfig(kind="gfn", num_classes=3), 13, seed=42)
-        assert gcn.params.names() == gfn.params.names()
+        assert [p.name for p in gcn.params] == [p.name for p in gfn.params]
         for a, b in zip(gcn.params, gfn.params):
             np.testing.assert_array_equal(a.value, b.value)
 

@@ -200,7 +200,10 @@ class TestSegmentOps:
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            SegmentIndex(np.array([1, 0]), np.array([0, 2]))
+            SegmentIndex([0, 2, 1])
+        with pytest.raises(ValueError):
+            SegmentIndex([1, 2])
+        assert SegmentIndex.from_sizes([2, 0, 3]).num_rows == 5
         seg = SegmentIndex.from_sizes([2])
         with pytest.raises(ValueError):
             segment_sum(np.ones((3, 1)), seg)
@@ -256,7 +259,7 @@ class TestAdam:
         p.grad[...] = 1.0
         params = ParameterSet([p])
         adam_step(params, lr=0.1)
-        assert p.step == 1
+        assert params.step == 1
         np.testing.assert_array_equal(p.grad, 0)
 
     def test_zero_lr_freezes_values(self):
@@ -291,21 +294,55 @@ class TestAdam:
             w = w - 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         np.testing.assert_allclose(p.value, w, atol=1e-12)
 
+    def test_flat_step_matches_per_parameter_loop(self):
+        # reference: the textbook update, applied one parameter at a time
+        def reference_step(states, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+            for s in states:
+                s["step"] += 1
+                s["m"][...] = beta1 * s["m"] + (1 - beta1) * s["grad"]
+                s["v"][...] = beta2 * s["v"] + (1 - beta2) * s["grad"]**2
+                m_hat = s["m"] / (1 - beta1**s["step"])
+                v_hat = s["v"] / (1 - beta2**s["step"])
+                s["value"][...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                s["grad"][...] = 0
+
+        rng = np.random.default_rng(12)
+        shapes = [(3, 4), (4,), (2, 5)]
+        values = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        params = ParameterSet([Parameter(f"p{i}", v.copy()) for i, v in enumerate(values)])
+        states = [dict(value=v.copy(), grad=np.zeros_like(v), m=np.zeros_like(v),
+                       v=np.zeros_like(v), step=0) for v in values]
+        for _ in range(5):
+            for p, s in zip(params, states):
+                g = rng.standard_normal(p.value.shape).astype(np.float32)
+                p.grad[...] = g
+                s["grad"][...] = g
+            adam_step(params, lr=0.01)
+            reference_step(states, lr=0.01)
+        for p, s in zip(params, states):
+            assert p.value.dtype == np.float32
+            np.testing.assert_array_equal(p.value, s["value"])
+
 
 class TestParameterSet:
     def test_duplicate_names_rejected(self):
-        params = ParameterSet([Parameter("a", np.zeros(1))])
         with pytest.raises(ValueError, match="duplicate"):
-            params.add(Parameter("a", np.zeros(1)))
+            ParameterSet([Parameter("a", np.zeros(1)), Parameter("a", np.zeros(1))])
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            ParameterSet([Parameter("a", np.zeros(1, dtype=np.float32)),
+                          Parameter("b", np.zeros(1))])
 
     def test_total_size_and_zero_grads(self):
         params = ParameterSet([
             Parameter("a", np.zeros((2, 3))),
             Parameter("b", np.zeros(4)),
         ])
-        assert params.total_size() == 10
+        assert params.value.size == params.grad.size == 10
         params["a"].grad[...] = 1.0
-        params.zero_grads()
+        assert params.grad.sum() == 6
+        params.grad[...] = 0
         np.testing.assert_array_equal(params["a"].grad, 0)
 
 
