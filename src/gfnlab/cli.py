@@ -57,9 +57,22 @@ SYNTHETIC_DENSE_SIZE = 64
 # report bytes, can depend on them.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+# Options that must be JSON integers in a config file (argparse checks the flags).
+INTEGER_OPTIONS = ("folds", "epochs", "batch", "k", "seed", "jobs")
+
 
 class UsageError(Exception):
     """Bad option values or combinations found after argparse (maps to exit 2)."""
+
+
+def _blas_library() -> str | None:
+    """Name and version of the BLAS numpy was built against, read from its
+    build configuration; None when numpy does not record one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # older numpy: no mode argument
+        return None
+    return f"{blas['name']} {blas['version']}"
 
 
 def _now() -> str:
@@ -128,6 +141,10 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve(args: argparse.Namespace, config: dict) -> dict:
     """CLI flag > config file > default, for each option the subcommand takes."""
+    unknown = sorted(set(config) - set(DEFAULTS))
+    if unknown:
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(DEFAULTS)}")
     out = {}
     for key in DEFAULTS:
         if not hasattr(args, key):
@@ -139,11 +156,14 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
             out[key] = config[key]
         else:
             out[key] = DEFAULTS[key]
+        if key in INTEGER_OPTIONS and out[key] is not None and type(out[key]) is not int:
+            # refused, not truncated: int(2.7) is 2 and int(True) is 1
+            raise UsageError(f"{key} must be an integer, got {out[key]!r}")
     return out
 
 
 def _resolve_k(k, model_kind: str) -> int:
-    return default_feature_spec(model_kind).K if k is None else int(k)
+    return default_feature_spec(model_kind).K if k is None else k
 
 
 def _add_common(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
@@ -212,19 +232,19 @@ def parse_grid(text: str) -> list[int]:
 
 def _train_config(resolved: dict) -> TrainConfig:
     return TrainConfig(
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch"]),
+        epochs=resolved["epochs"],
+        batch_size=resolved["batch"],
         lr=float(resolved["lr"]),
-        folds=int(resolved["folds"]),
-        seed=int(resolved["seed"]),
-        jobs=int(resolved["jobs"]),
+        folds=resolved["folds"],
+        seed=resolved["seed"],
+        jobs=resolved["jobs"],
     )
 
 
 def _model_config(resolved: dict, num_classes: int) -> ModelConfig:
     kind = resolved["model"]
     k = _resolve_k(resolved["k"], kind)
-    spec = FeatureSpec(use_degree=True, include_raw=True, K=k)
+    spec = FeatureSpec(K=k)
     return ModelConfig(kind=kind, num_classes=num_classes, feature_spec=spec)
 
 
@@ -244,15 +264,15 @@ def cmd_cv(args: argparse.Namespace, resolved: dict, dataset: Dataset):
 
 def cmd_features(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     k = _resolve_k(resolved["k"], "gfn")
-    spec = FeatureSpec(use_degree=not args.no_degree, include_raw=True, K=k)
+    spec = FeatureSpec(use_degree=not args.no_degree, K=k)
     resolved["k"] = spec.K
     resolved["degree"] = spec.use_degree
 
     def work(run_dir: Path):
         feats = precompute_dataset(dataset, spec)
         csv_dir = run_dir / "features"
-        paths = export_csv(dataset, feats, csv_dir)
-        return csv_dir, [f"wrote {len(paths)} feature files ({feats[0].width} columns each)"]
+        paths = export_csv(dataset, spec, feats, csv_dir)
+        return csv_dir, [f"wrote {len(paths)} feature files ({feats[0].shape[1]} columns each)"]
 
     return f"features-{dataset.name}", "", work
 
@@ -329,8 +349,7 @@ def run_command(args: argparse.Namespace) -> int:
     dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
     try:
         label, model, work = COMMANDS[args.command](args, resolved, dataset)
-        seed = int(resolved["seed"])
-    except (TypeError, ValueError) as exc:  # int("ten"), int(None), TrainConfig(epochs=0), ...
+    except (TypeError, ValueError) as exc:  # float("ten"), TrainConfig(epochs=0), ...
         raise UsageError(str(exc)) from exc
     run_dir = make_run_dir(Path(resolved["out"]), label)
     manifest = {
@@ -338,10 +357,11 @@ def run_command(args: argparse.Namespace) -> int:
         "dataset": args.dataset,
         "model": model,
         "config": resolved,
-        "seeds": [seed],
+        "seeds": [resolved["seed"]],
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": _blas_library(),
             **{var: os.environ.get(var) for var in THREAD_VARS},
         },
         "started": _now(),

@@ -1,20 +1,22 @@
 """Multi-scale propagated node features with an on-disk cache.
 
 For a graph with node features X and normalized adjacency At, the augmented
-matrix concatenates column blocks in the fixed order
+matrix is a plain float64 array that concatenates column blocks in the fixed
+order
 
     [degree, X, At @ X, At^2 @ X, ..., At^K @ X]
 
-where the degree block is one-hot (or raw) node degrees and each propagated
-block is computed iteratively, never by materializing powers of At.
+where the degree block is one-hot node degrees and each propagated block is
+computed iteratively, never by materializing powers of At.
+``FeatureSpec.column_names`` is the one place that names these columns.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,64 +24,39 @@ import numpy as np
 from .graphs import Dataset, Graph, degree_one_hot, node_degrees, normalized_adjacency
 from .sparse import spmm
 
+# Part of every cache key; bump it when the cached matrices would change.
+CACHE_FORMAT = "gfnlab-features-2"
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Which blocks enter the augmented feature matrix.
-
-    ``K`` is the propagation depth; ``raw_degree`` swaps the one-hot degree
-    block for a single raw-degree column.
-    """
+    """Which blocks enter the augmented feature matrix: the one-hot degree
+    block when ``use_degree``, then X and its propagations up to depth ``K``."""
 
     use_degree: bool = True
-    include_raw: bool = True
     K: int = 3
     epsilon: float = 1.0
-    raw_degree: bool = False
 
     def __post_init__(self):
         if self.K < 0:
             raise ValueError("K must be nonnegative")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not (self.use_degree or self.include_raw or self.K > 0):
-            raise ValueError("feature spec selects no blocks")
 
     def cache_token(self) -> str:
-        deg = ("rawdeg" if self.raw_degree else "deg") if self.use_degree else "nodeg"
-        raw = "raw" if self.include_raw else "noraw"
-        return f"{deg}-{raw}-k{self.K}-eps{self.epsilon:g}"
+        deg = "deg" if self.use_degree else "nodeg"
+        return f"{deg}-k{self.K}-eps{self.epsilon:g}"
+
+    def column_names(self, degree_cap: int, feature_dim: int) -> list[str]:
+        """Names of the augmented columns in block order, for graphs whose
+        one-hot degrees clamp at ``degree_cap`` and whose X has
+        ``feature_dim`` columns."""
+        blocks = [("deg", max(degree_cap, 1) + 1)] if self.use_degree else []
+        blocks += [("x", feature_dim)] + [(f"a{k}x", feature_dim) for k in range(1, self.K + 1)]
+        return [f"{name}_{j}" for name, width in blocks for j in range(width)]
 
 
-@dataclass(frozen=True)
-class ColumnBlock:
-    name: str
-    start: int
-    width: int
-
-
-@dataclass
-class AugmentedFeatures:
-    """Dense per-graph feature matrix plus its ordered column-block schema."""
-
-    matrix: np.ndarray
-    blocks: tuple[ColumnBlock, ...]
-
-    @property
-    def width(self) -> int:
-        return self.matrix.shape[1]
-
-    def block(self, name: str) -> np.ndarray:
-        for b in self.blocks:
-            if b.name == name:
-                return self.matrix[:, b.start : b.start + b.width]
-        raise KeyError(f"no block named {name!r}")
-
-    def column_names(self) -> list[str]:
-        return [f"{b.name}_{j}" for b in self.blocks for j in range(b.width)]
-
-
-def augment(graph: Graph, X: np.ndarray, spec: FeatureSpec, degree_cap: int) -> AugmentedFeatures:
+def augment(graph: Graph, X: np.ndarray, spec: FeatureSpec, degree_cap: int) -> np.ndarray:
     """Build the augmented feature matrix for one graph.
 
     ``degree_cap`` is the one-hot clamp bucket, normally the dataset-wide
@@ -88,28 +65,13 @@ def augment(graph: Graph, X: np.ndarray, spec: FeatureSpec, degree_cap: int) -> 
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != graph.num_nodes:
         raise ValueError(f"X must be ({graph.num_nodes}, d), got {X.shape}")
-    parts: list[np.ndarray] = []
-    blocks: list[ColumnBlock] = []
-
-    def push(name: str, mat: np.ndarray) -> None:
-        blocks.append(ColumnBlock(name, sum(p.shape[1] for p in parts), mat.shape[1]))
-        parts.append(mat)
-
-    if spec.use_degree:
-        degs = node_degrees(graph)
-        if spec.raw_degree:
-            push("deg", degs.astype(np.float64)[:, None])
-        else:
-            push("deg", degree_one_hot(degs, max(degree_cap, 1)))
-    if spec.include_raw:
-        push("x", X)
+    parts = [degree_one_hot(node_degrees(graph), max(degree_cap, 1))] if spec.use_degree else []
+    parts.append(X)
     if spec.K > 0:
         adj = normalized_adjacency(graph, spec.epsilon).matrix
-        prop = X
-        for k in range(1, spec.K + 1):
-            prop = spmm(adj, prop)
-            push(f"a{k}x", prop)
-    return AugmentedFeatures(np.concatenate(parts, axis=1), tuple(blocks))
+        for _ in range(spec.K):
+            parts.append(spmm(adj, parts[-1]))
+    return np.concatenate(parts, axis=1)
 
 
 def dataset_degree_cap(dataset: Dataset) -> int:
@@ -129,75 +91,78 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "gfnlab"
 
 
-def _cache_path(cache_dir: Path, dataset: Dataset, spec: FeatureSpec, cap: int) -> Path:
-    return cache_dir / f"{dataset.name}_{spec.cache_token()}_cap{cap}_n{len(dataset)}.npz"
+def _cache_path(cache_dir: Path, dataset: Dataset, spec: FeatureSpec) -> Path:
+    """Cache file named by a sha256 of the format, the spec and every array the
+    features derive from; the dataset name and spec are only a readable prefix."""
+    digest = hashlib.sha256(f"{CACHE_FORMAT}/{spec.cache_token()}".encode())
+    arrays = [dataset.labels]
+    for g in dataset.graphs:
+        arrays += [g.graph.indptr, g.graph.indices, g.node_features]
+    for arr in arrays:
+        digest.update(repr(arr.shape).encode())  # keeps the byte stream unambiguous
+        digest.update(np.ascontiguousarray(arr).data)
+    return cache_dir / f"{dataset.name}_{spec.cache_token()}_{digest.hexdigest()}.npy"
 
 
 def precompute_dataset(
     dataset: Dataset,
     spec: FeatureSpec,
     cache_dir: Path | str | None = None,
-) -> list[AugmentedFeatures]:
+) -> list[np.ndarray]:
     """Compute augmented features for every graph, reusing the on-disk cache.
 
-    The cache key is (dataset name, spec, degree cap); a corrupt or
-    schema-incompatible cache file is recomputed with a warning. Results are
+    The cache is one float64 matrix of all graphs' rows, keyed on content; a
+    corrupt or mismatched cache file is recomputed with a warning. Results are
     ordered by graph index.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cap = dataset_degree_cap(dataset)
-    path = _cache_path(cache_dir, dataset, spec, cap)
+    path = _cache_path(cache_dir, dataset, spec)
+    sizes = [g.graph.num_nodes for g in dataset.graphs]
     if path.is_file():
         try:
-            return _load_cache(path, dataset)
+            return _load_cache(path, sizes, len(spec.column_names(cap, dataset.feature_dim)))
         except Exception as exc:  # corrupt cache: recompute below
             warnings.warn(f"feature cache {path} unusable ({exc}); recomputing", stacklevel=2)
     feats = [augment(g.graph, g.node_features, spec, cap) for g in dataset.graphs]
-    _store_cache(path, feats)
-    return feats
-
-
-def _store_cache(path: Path, feats: list[AugmentedFeatures]) -> None:
-    schema = {
-        "blocks": [asdict(b) for b in feats[0].blocks],
-        "offsets": np.concatenate([[0], np.cumsum([f.matrix.shape[0] for f in feats])]).tolist(),
-    }
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        schema=np.frombuffer(json.dumps(schema, sort_keys=True).encode(), dtype=np.uint8),
-        matrix=np.concatenate([f.matrix for f in feats], axis=0),
-    )
-
-
-def _load_cache(path: Path, dataset: Dataset) -> list[AugmentedFeatures]:
-    with np.load(path) as npz:
-        schema = json.loads(bytes(npz["schema"]))
-        matrix = npz["matrix"]
-    blocks = tuple(ColumnBlock(**b) for b in schema["blocks"])
-    offsets = schema["offsets"]
-    if len(offsets) != len(dataset) + 1 or matrix.dtype != np.float64:
-        raise ValueError("cache does not match dataset")
-    feats = []
-    for i, g in enumerate(dataset.graphs):
-        rows = matrix[offsets[i] : offsets[i + 1]]
-        if rows.shape[0] != g.graph.num_nodes:
-            raise ValueError("cache row count mismatch")
-        feats.append(AugmentedFeatures(rows, blocks))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.concatenate(feats, axis=0))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return feats
 
 
-def export_csv(dataset: Dataset, feats: list[AugmentedFeatures], out_dir: Path | str) -> list[Path]:
-    """Write one CSV per graph with a leading schema comment line."""
+def _load_cache(path: Path, sizes: list[int], width: int) -> list[np.ndarray]:
+    """Read the cached matrix straight into one array per graph. Per-graph
+    arrays fit in freed heap memory; ``np.load`` of all rows at once can need
+    a fresh mapping that adds the whole matrix to the peak resident memory."""
+    shape = (sum(sizes), width)
+    with open(path, "rb") as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError("not a version 1.0 .npy file")
+        found = np.lib.format.read_array_header_1_0(fh)  # (shape, fortran_order, dtype)
+        if found != (shape, False, np.dtype(np.float64)):
+            raise ValueError(f"header {found}, expected {(shape, False, 'float64')}")
+        feats = [np.empty((n, width)) for n in sizes]
+        if any(fh.readinto(f) != f.nbytes for f in feats):
+            raise ValueError("file is truncated")
+    return feats
+
+
+def export_csv(
+    dataset: Dataset, spec: FeatureSpec, feats: list[np.ndarray], out_dir: Path | str
+) -> list[Path]:
+    """Write one CSV per graph with a leading column-name comment line."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    header = ",".join(spec.column_names(dataset_degree_cap(dataset), dataset.feature_dim))
     written = []
     digits = max(5, len(str(len(dataset))))
     for i, f in enumerate(feats):
-        p = out_dir / f"{dataset.name}_graph_{i:0{digits}d}.csv"
-        header = "# " + ",".join(f.column_names())
-        with p.open("w") as fh:
-            fh.write(header + "\n")
-            np.savetxt(fh, f.matrix, delimiter=",", fmt="%.17g")
-        written.append(p)
+        written.append(out_dir / f"{dataset.name}_graph_{i:0{digits}d}.csv")
+        np.savetxt(written[-1], f, delimiter=",", fmt="%.17g", header=header, comments="# ")
     return written

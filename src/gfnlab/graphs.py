@@ -56,9 +56,6 @@ class Graph:
         """Number of undirected edges."""
         return int(self.indices.size) // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     @classmethod
     def from_edges(cls, num_nodes: int, edges) -> "Graph":
         """Build a graph from an iterable of (u, v) pairs.

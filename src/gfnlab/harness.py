@@ -64,7 +64,7 @@ def prepare_dataset(
     t0 = time.perf_counter()
     feats = precompute_dataset(dataset, spec, cache_dir)
     feature_seconds = time.perf_counter() - t0
-    features = [f.matrix.astype(np.float32) for f in feats]
+    features = [f.astype(np.float32) for f in feats]
     adjacencies = None
     if model_config.kind == "gcn":
         adjacencies = [
@@ -145,15 +145,21 @@ def train_fold(
         seed=np.random.SeedSequence((train_config.seed, fold)),
     )
     trace = FoldTrace(fold=fold, train_size=int(train_idx.size), test_size=int(test_idx.size))
+    num_nodes = np.array([f.shape[0] for f in prepared.features])
     for epoch in range(train_config.epochs):
         shuffle = np.random.default_rng(
             np.random.SeedSequence((train_config.seed, fold, epoch))
         )
         order = train_idx[shuffle.permutation(train_idx.size)]
+        batches = list(_batched_indices(order, train_config.batch_size))
+        # batch norm needs two node rows in train mode: a tail batch with
+        # fewer is folded into the batch before it
+        if len(batches) > 1 and num_nodes[batches[-1]].sum() < 2:
+            batches[-2:] = [np.concatenate(batches[-2:])]
         correct = 0
         loss_sum = 0.0
         t0 = time.perf_counter()
-        for idx in _batched_indices(order, train_config.batch_size):
+        for idx in batches:
             batch = _gather_batch(prepared, idx)
             logits = model.forward(batch, train=True)
             loss, grad = softmax_cross_entropy(logits, batch.labels)
@@ -265,7 +271,7 @@ def feature_ablation_cells():
             if K:
                 parts.append("a" + "".join(str(i) for i in range(1, K + 1)) + "x")
             name = "+".join(parts) if parts else "none"
-            cells.append((name, FeatureSpec(use_degree=use_degree, include_raw=True, K=K)))
+            cells.append((name, FeatureSpec(use_degree=use_degree, K=K)))
     return cells
 
 

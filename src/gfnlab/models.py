@@ -32,9 +32,7 @@ MODEL_KINDS = ("gcn", "gfn", "gfn-light", "gln")
 def default_feature_spec(kind: str) -> FeatureSpec:
     """GCN consumes raw features plus one-hot degrees; the set-function models
     get the full multi-scale stack up to K=3."""
-    if kind == "gcn":
-        return FeatureSpec(use_degree=True, include_raw=True, K=0)
-    return FeatureSpec(use_degree=True, include_raw=True, K=3)
+    return FeatureSpec(use_degree=True, K=0 if kind == "gcn" else 3)
 
 
 @dataclass

@@ -245,25 +245,3 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     grad[np.arange(n), labels] -= 1
     grad /= n
     return loss, grad
-
-
-def finite_difference_grad(loss_fn, params: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradient estimate of ``loss_fn()`` w.r.t. each array.
-
-    The arrays are perturbed in place and restored; evaluate at float64 for
-    meaningful comparisons.
-    """
-    grads = []
-    for arr in params:
-        g = np.zeros(arr.shape, dtype=np.float64)
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = loss_fn()
-            flat[i] = orig - h
-            f_minus = loss_fn()
-            flat[i] = orig
-            g.reshape(-1)[i] = (f_plus - f_minus) / (2 * h)
-        grads.append(g)
-    return grads

@@ -34,3 +34,25 @@ def write_tu_files(directory, name, indicator, edges, graph_labels,
     if node_attributes is not None:
         (directory / f"{name}_node_attributes.txt").write_text("\n".join(node_attributes) + "\n")
     return directory
+
+
+def finite_difference_grad(loss_fn, params: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
+    """Central-difference gradient estimate of ``loss_fn()`` w.r.t. each array.
+
+    The arrays are perturbed in place and restored; evaluate at float64 for
+    meaningful comparisons.
+    """
+    grads = []
+    for arr in params:
+        g = np.zeros(arr.shape, dtype=np.float64)
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = loss_fn()
+            flat[i] = orig - h
+            f_minus = loss_fn()
+            flat[i] = orig
+            g.reshape(-1)[i] = (f_plus - f_minus) / (2 * h)
+        grads.append(g)
+    return grads

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad
 from gfnlab.cli import main as cli_main
 from gfnlab.cli import resolve_dataset
 from gfnlab.features import FeatureSpec, augment
@@ -42,7 +43,6 @@ from gfnlab.nn import (
     BatchNorm,
     ReLU,
     SegmentIndex,
-    finite_difference_grad,
     segment_sum,
     segment_sum_backward,
     softmax_cross_entropy,
@@ -262,7 +262,7 @@ def test_c3_permutation_invariance():
             model = None
             outs = []
             for graph, x in ((g, X), (g2, X[perm])):
-                feats = augment(graph, x, cfg.feature_spec, n).matrix.astype(np.float32)
+                feats = augment(graph, x, cfg.feature_spec, n).astype(np.float32)
                 adj = normalized_adjacency(graph).matrix.astype(np.float32)
                 if model is None:
                     model = ModelInstance(cfg, feats.shape[1], seed=trial)
@@ -378,7 +378,7 @@ def test_c8_synthetic_end_to_end():
 
     config = TrainConfig(epochs=20, batch_size=128, lr=0.001, folds=10, seed=0)
     informed = run_cv(dataset, ModelConfig(kind="gfn", num_classes=2), config)
-    blinded_spec = FeatureSpec(use_degree=False, include_raw=True, K=0)
+    blinded_spec = FeatureSpec(use_degree=False, K=0)
     blinded = run_cv(
         dataset,
         ModelConfig(kind="gfn", num_classes=2, feature_spec=blinded_spec),

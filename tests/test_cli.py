@@ -109,23 +109,28 @@ class TestFeaturesCommand:
         np.testing.assert_array_equal(body, [[0.25, 1.5], [2.0, -3.5]])
 
 
-# argument lists that argparse accepts but the run must refuse as usage errors;
-# "@config" stands for a --config file holding {"epochs": "ten"}
+# argument lists that argparse accepts but the run must refuse as usage errors,
+# each with the contents of the --config file it runs with (None: no file)
 BAD_OPTION_CASES = {
-    "zero-epochs": ["cv", "--epochs", "0"],
-    "one-fold": ["cv", "--folds", "1"],
-    "non-numeric-config": ["cv", "--config", "@config"],
-    "epochs-not-above-warmup": ["benchmark", "--epochs", "1"],
-    "negative-warmup": ["benchmark", "--epochs", "3", "--warmup", "-1"],
-    "negative-k": ["cv", "--k", "-1"],
+    "zero-epochs": (["cv", "--epochs", "0"], None),
+    "one-fold": (["cv", "--folds", "1"], None),
+    "non-numeric-config": (["cv"], {"epochs": "ten"}),
+    "epochs-not-above-warmup": (["benchmark", "--epochs", "1"], None),
+    "negative-warmup": (["benchmark", "--epochs", "3", "--warmup", "-1"], None),
+    "negative-k": (["cv", "--k", "-1"], None),
+    "fractional-config": (["cv"], {"epochs": 2.7, "folds": 2, "model": "gln"}),
+    "boolean-config": (["cv"], {"epochs": True, "folds": 2, "model": "gln"}),
+    "unknown-config-key": (["cv"], {"epoch": 1}),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_OPTION_CASES))
 def test_bad_options_exit_two_before_any_run_dir(tmp_path, capsys, case):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epochs": "ten"}))
-    args = [str(cfg) if a == "@config" else a for a in BAD_OPTION_CASES[case]]
+    args, config = BAD_OPTION_CASES[case]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
     out = tmp_path / "runs"
     code = run(args + ["--dataset", "synthetic", "--out", str(out)])
     err = capsys.readouterr().err
@@ -219,6 +224,8 @@ class TestManifest:
                                  "started", "finished", "outputs"}
         assert manifest["env"]["python"] == platform.python_version()
         assert manifest["env"]["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["env"]["blas"] == f"{blas['name']} {blas['version']}"
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             assert manifest["env"][var] == os.environ.get(var)
         assert manifest["command"] == command

@@ -25,77 +25,87 @@ def small_dataset(num=6, seed=0):
     return Dataset("small", graphs, num_classes=2, feature_dim=2)
 
 
+def block(feats, spec, degree_cap, feature_dim, name):
+    """The columns of one block, located through ``spec.column_names``."""
+    names = spec.column_names(degree_cap, feature_dim)
+    return feats[:, [i for i, c in enumerate(names) if c.rsplit("_", 1)[0] == name]]
+
+
 class TestAugment:
     def test_two_node_path_hand_values(self):
         """Path on two nodes, X = [1, 0]^T: every propagation averages the
         two entries, so each propagated column is [1/2, 1/2]."""
         g = Graph.from_edges(2, [(0, 1)])
-        spec = FeatureSpec(use_degree=False, include_raw=True, K=2)
+        spec = FeatureSpec(use_degree=False, K=2)
         out = augment(g, np.array([[1.0], [0.0]]), spec, degree_cap=1)
-        np.testing.assert_allclose(out.matrix, [[1.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
-                                   atol=1e-15)
-        assert [b.name for b in out.blocks] == ["x", "a1x", "a2x"]
+        np.testing.assert_allclose(out, [[1.0, 0.5, 0.5], [0.0, 0.5, 0.5]], atol=1e-15)
+        assert spec.column_names(1, 1) == ["x_0", "a1x_0", "a2x_0"]
 
     def test_block_order_and_widths(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        spec = FeatureSpec(use_degree=True, include_raw=True, K=1)
-        out = augment(g, np.ones((3, 2)), spec, degree_cap=4)
-        assert [b.name for b in out.blocks] == ["deg", "x", "a1x"]
-        assert out.block("deg").shape == (3, 5)
-        assert out.block("x").shape == (3, 2)
-        assert out.width == 5 + 2 + 2
+        spec = FeatureSpec(use_degree=True, K=1)
+        X = np.arange(6.0).reshape(3, 2)
+        out = augment(g, X, spec, degree_cap=4)
+        assert spec.column_names(4, 2) == [
+            "deg_0", "deg_1", "deg_2", "deg_3", "deg_4", "x_0", "x_1", "a1x_0", "a1x_1"]
+        assert out.shape == (3, 5 + 2 + 2)
+        np.testing.assert_array_equal(out[:, :5].argmax(axis=1), [1, 2, 1])
+        np.testing.assert_array_equal(out[:, 5:7], X)
+        np.testing.assert_allclose(out[:, 7:], spmm(normalized_adjacency(g).matrix, X), atol=1e-14)
 
     def test_degree_block_is_one_hot(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
-        out = augment(g, np.ones((3, 1)), FeatureSpec(K=0), degree_cap=2)
-        np.testing.assert_array_equal(out.block("deg"),
+        spec = FeatureSpec(K=0)
+        out = augment(g, np.ones((3, 1)), spec, degree_cap=2)
+        np.testing.assert_array_equal(block(out, spec, 2, 1, "deg"),
                                       [[0, 0, 1], [0, 1, 0], [0, 1, 0]])
 
-    def test_raw_degree_column(self):
-        g = Graph.from_edges(3, [(0, 1), (0, 2)])
-        spec = FeatureSpec(K=0, raw_degree=True)
-        out = augment(g, np.ones((3, 1)), spec, degree_cap=2)
-        np.testing.assert_array_equal(out.block("deg"), [[2.0], [1.0], [1.0]])
+    def test_column_names_match_width(self, random_graph):
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 6)
+        X = rng.standard_normal((6, 3))
+        for use_degree in (False, True):
+            for K in range(5):
+                spec = FeatureSpec(use_degree=use_degree, K=K)
+                out = augment(g, X, spec, degree_cap=4)
+                assert len(spec.column_names(4, 3)) == out.shape[1]
 
     def test_propagation_matches_iterated_spmm(self, random_graph):
         rng = np.random.default_rng(1)
+        spec = FeatureSpec(use_degree=False, K=3)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(2, 9)))
             X = rng.standard_normal((g.num_nodes, 3))
-            out = augment(g, X, FeatureSpec(use_degree=False, K=3), degree_cap=1)
+            out = augment(g, X, spec, degree_cap=1)
             adj = normalized_adjacency(g).matrix
             prop = X
             for k in (1, 2, 3):
                 prop = spmm(adj, prop)
-                np.testing.assert_allclose(out.block(f"a{k}x"), prop, atol=1e-14)
+                np.testing.assert_allclose(block(out, spec, 1, 3, f"a{k}x"), prop, atol=1e-14)
 
     def test_linearity_in_x(self, random_graph):
         rng = np.random.default_rng(2)
         g = random_graph(rng, 6)
-        spec = FeatureSpec(use_degree=False, include_raw=True, K=2)
+        spec = FeatureSpec(use_degree=False, K=2)
         X, Y = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
-        combo = augment(g, 2.0 * X - 3.0 * Y, spec, 1).matrix
-        linear = 2.0 * augment(g, X, spec, 1).matrix - 3.0 * augment(g, Y, spec, 1).matrix
+        combo = augment(g, 2.0 * X - 3.0 * Y, spec, 1)
+        linear = 2.0 * augment(g, X, spec, 1) - 3.0 * augment(g, Y, spec, 1)
         np.testing.assert_allclose(combo, linear, atol=1e-12)
 
     def test_permutation_equivariance(self, random_graph):
         rng = np.random.default_rng(3)
-        spec = FeatureSpec(use_degree=True, include_raw=True, K=3)
+        spec = FeatureSpec(use_degree=True, K=3)
         for _ in range(10):
             n = int(rng.integers(3, 10))
             g = random_graph(rng, n)
             X = rng.standard_normal((n, 2))
-            base = augment(g, X, spec, degree_cap=n).matrix
+            base = augment(g, X, spec, degree_cap=n)
             perm = rng.permutation(n)
             inv = np.empty(n, dtype=np.int64)
             inv[perm] = np.arange(n)
-            edges = []
-            for u in range(n):
-                for v in g.neighbors(u):
-                    if u < v:
-                        edges.append((inv[u], inv[v]))
-            g2 = Graph.from_edges(n, edges)
-            permuted = augment(g2, X[perm], spec, degree_cap=n).matrix
+            src = np.repeat(np.arange(n), np.diff(g.indptr))
+            g2 = Graph.from_edges(n, np.stack([inv[src], inv[g.indices]], axis=1))
+            permuted = augment(g2, X[perm], spec, degree_cap=n)
             np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_depth_prefix_nesting(self, random_graph):
@@ -103,8 +113,8 @@ class TestAugment:
         rng = np.random.default_rng(4)
         g = random_graph(rng, 7)
         X = rng.standard_normal((7, 2))
-        shallow = augment(g, X, FeatureSpec(K=2), degree_cap=7).matrix
-        deep = augment(g, X, FeatureSpec(K=3), degree_cap=7).matrix
+        shallow = augment(g, X, FeatureSpec(K=2), degree_cap=7)
+        deep = augment(g, X, FeatureSpec(K=3), degree_cap=7)
         np.testing.assert_array_equal(deep[:, : shallow.shape[1]], shallow)
 
     def test_row_count_checked(self):
@@ -119,18 +129,15 @@ class TestFeatureSpec:
             FeatureSpec(K=-1)
         with pytest.raises(ValueError):
             FeatureSpec(epsilon=0.0)
-        with pytest.raises(ValueError):
-            FeatureSpec(use_degree=False, include_raw=False, K=0)
 
     def test_cache_tokens_distinguish_specs(self):
         tokens = {
             FeatureSpec().cache_token(),
             FeatureSpec(K=2).cache_token(),
             FeatureSpec(use_degree=False).cache_token(),
-            FeatureSpec(raw_degree=True).cache_token(),
             FeatureSpec(epsilon=2.0).cache_token(),
         }
-        assert len(tokens) == 5
+        assert len(tokens) == 4
 
 
 def test_dataset_degree_cap():
@@ -146,29 +153,52 @@ class TestCache:
         ds = small_dataset()
         spec = FeatureSpec(K=2)
         first = precompute_dataset(ds, spec, cache_dir=tmp_path)
-        files = list(tmp_path.glob("*.npz"))
+        files = list(tmp_path.glob("*.npy"))
         assert len(files) == 1
         second = precompute_dataset(ds, spec, cache_dir=tmp_path)
         assert len(first) == len(second) == len(ds)
         for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.matrix, b.matrix)
-            assert a.blocks == b.blocks
+            np.testing.assert_array_equal(a, b)
+            assert b.dtype == np.float64
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         ds = small_dataset()
         spec = FeatureSpec(K=1)
-        precompute_dataset(ds, spec, cache_dir=tmp_path)
-        path = next(tmp_path.glob("*.npz"))
-        path.write_bytes(b"not an archive")
-        with pytest.warns(UserWarning, match="recomputing"):
-            feats = precompute_dataset(ds, spec, cache_dir=tmp_path)
-        assert len(feats) == len(ds)
+        expected = precompute_dataset(ds, spec, cache_dir=tmp_path)
+        path = next(tmp_path.glob("*.npy"))
+        not_an_array = lambda p: p.write_bytes(b"not an array")
+        wrong_shape = lambda p: np.save(p, np.zeros((3, 2)))
+        for corrupt in (not_an_array, wrong_shape):
+            corrupt(path)
+            with pytest.warns(UserWarning, match="recomputing"):
+                feats = precompute_dataset(ds, spec, cache_dir=tmp_path)
+            assert len(feats) == len(ds)
+            for a, b in zip(feats, expected):
+                np.testing.assert_array_equal(a, b)
 
     def test_specs_get_distinct_cache_files(self, tmp_path):
         ds = small_dataset()
         precompute_dataset(ds, FeatureSpec(K=1), cache_dir=tmp_path)
         precompute_dataset(ds, FeatureSpec(K=2), cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert len(list(tmp_path.glob("*.npy"))) == 2
+
+    def test_same_name_and_size_get_their_own_features(self, tmp_path):
+        """Two datasets that share name, size and degree cap but not edges:
+        3-node paths 0-1-2 against 3-node stars centred on node 0."""
+        spec = FeatureSpec(K=2)
+
+        def same(edges):
+            graphs = [AttributedGraph(Graph.from_edges(3, edges), np.eye(3)[:, :2], i)
+                      for i in range(2)]
+            return Dataset("same", graphs, num_classes=2, feature_dim=2)
+
+        for _ in range(2):  # cold, then warm
+            for ds in (same([(0, 1), (1, 2)]), same([(0, 1), (0, 2)])):
+                feats = precompute_dataset(ds, spec, cache_dir=tmp_path)
+                for f, g in zip(feats, ds.graphs):
+                    np.testing.assert_array_equal(f, augment(g.graph, g.node_features, spec, 2))
+        assert len(list(tmp_path.glob("*.npy"))) == 2
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npy", ".npy"]
 
     def test_env_var_overrides_default_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GFNLAB_CACHE", str(tmp_path / "elsewhere"))
@@ -178,19 +208,21 @@ class TestCache:
 class TestExport:
     def test_csv_schema_and_values(self, tmp_path):
         ds = small_dataset(num=3)
-        spec = FeatureSpec(use_degree=True, include_raw=True, K=1)
+        spec = FeatureSpec(use_degree=True, K=1)
         feats = precompute_dataset(ds, spec, cache_dir=tmp_path / "cache")
-        paths = export_csv(ds, feats, tmp_path / "csv")
+        paths = export_csv(ds, spec, feats, tmp_path / "csv")
         assert len(paths) == 3
         text = paths[0].read_text().splitlines()
+        assert text[0] == "# " + ",".join(spec.column_names(dataset_degree_cap(ds), 2))
         assert text[0].startswith("# deg_0,")
         assert ",x_0," in text[0] and ",a1x_0," in text[0]
         body = np.loadtxt(paths[0], delimiter=",", comments="#", ndmin=2)
-        np.testing.assert_allclose(body, feats[0].matrix, rtol=0, atol=0)
+        np.testing.assert_allclose(body, feats[0], rtol=0, atol=0)
 
     def test_reexport_is_byte_identical(self, tmp_path):
         ds = small_dataset(num=2)
-        feats = precompute_dataset(ds, FeatureSpec(K=1), cache_dir=tmp_path / "cache")
-        a = export_csv(ds, feats, tmp_path / "a")
-        b = export_csv(ds, feats, tmp_path / "b")
+        spec = FeatureSpec(K=1)
+        feats = precompute_dataset(ds, spec, cache_dir=tmp_path / "cache")
+        a = export_csv(ds, spec, feats, tmp_path / "a")
+        b = export_csv(ds, spec, feats, tmp_path / "b")
         assert a[0].read_bytes() == b[0].read_bytes()

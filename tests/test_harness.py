@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from gfnlab.graphs import generate_dense_synthetic, generate_synthetic_dataset
+from gfnlab.graphs import (
+    AttributedGraph,
+    Dataset,
+    Graph,
+    generate_dense_synthetic,
+    generate_synthetic_dataset,
+)
 from gfnlab import harness
 from gfnlab.harness import (
     CVReport,
@@ -21,7 +27,7 @@ from gfnlab.harness import (
     train_fold,
     write_ablation_csv,
 )
-from gfnlab.models import ModelConfig
+from gfnlab.models import ModelConfig, make_batch
 
 
 def tiny_config(**kw):
@@ -99,6 +105,24 @@ class TestTrainFold:
         assert trace.test_acc == [] and trace.train_acc == []
         assert len(trace.epoch_seconds) == 2
 
+    def test_one_row_tail_batch_joins_the_previous_batch(self, monkeypatch):
+        """Ten single-node training graphs in batches of 9 leave a one-row
+        tail, which batch norm cannot normalize in train mode."""
+        graphs = [AttributedGraph(Graph.from_edges(1, []), [[float(i % 2)]], i % 2)
+                  for i in range(20)]
+        ds = Dataset("singletons", graphs, num_classes=2, feature_dim=1)
+        sizes = []
+
+        def recording_make_batch(features, labels, adjacencies=None):
+            sizes.append(len(features))
+            return make_batch(features, labels, adjacencies)
+
+        monkeypatch.setattr(harness, "make_batch", recording_make_batch)
+        train_config = TrainConfig(epochs=1, batch_size=9, folds=2)
+        report = run_cv(ds, ModelConfig("gfn-light", 2), train_config)
+        assert len(report.per_fold_acc) == 2
+        assert sizes == [10, 9, 1] * 2  # one merged train batch, then the eval batches per fold
+
     def test_trace_json_form_has_no_timings(self):
         """Epoch wall times stay out of report.json at any depth but stay in
         every timing.json entry."""
@@ -162,7 +186,7 @@ class TestAblation:
         assert len(cells) == 8
         assert names == ["none", "a1x", "a12x", "a123x", "d", "d+a1x", "d+a12x", "d+a123x"]
         for name, spec in cells:
-            assert spec.include_raw
+            assert "x_0" in spec.column_names(degree_cap=1, feature_dim=1)  # X always enters
             assert spec.use_degree == name.startswith("d")
 
     def test_depth_sweep_rows(self, tmp_path):

@@ -8,6 +8,7 @@ exercised in the shape/behavior tests.
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad
 from gfnlab.nn import (
     Affine,
     BatchNorm,
@@ -16,7 +17,6 @@ from gfnlab.nn import (
     ReLU,
     SegmentIndex,
     adam_step,
-    finite_difference_grad,
     glorot_uniform,
     segment_sum,
     segment_sum_backward,
