@@ -159,6 +159,9 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
         if key in INTEGER_OPTIONS and out[key] is not None and type(out[key]) is not int:
             # refused, not truncated: int(2.7) is 2 and int(True) is 1
             raise UsageError(f"{key} must be an integer, got {out[key]!r}")
+        if key == "lr" and type(out[key]) not in (int, float):
+            # refused, not converted: float(True) is 1.0 and float("0.1") is 0.1
+            raise UsageError(f"lr must be a number, got {out[key]!r}")
     return out
 
 
@@ -234,7 +237,7 @@ def _train_config(resolved: dict) -> TrainConfig:
     return TrainConfig(
         epochs=resolved["epochs"],
         batch_size=resolved["batch"],
-        lr=float(resolved["lr"]),
+        lr=resolved["lr"],
         folds=resolved["folds"],
         seed=resolved["seed"],
         jobs=resolved["jobs"],

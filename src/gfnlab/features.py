@@ -21,11 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Dataset, Graph, degree_one_hot, node_degrees, normalized_adjacency
+from .graphs import (
+    Dataset, Graph, degree_one_hot, disjoint_union, node_degrees, normalized_adjacency
+)
 from .sparse import spmm
 
 # Part of every cache key; bump it when the cached matrices would change.
-CACHE_FORMAT = "gfnlab-features-2"
+CACHE_FORMAT = "gfnlab-features-3"
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,18 @@ def augment(graph: Graph, X: np.ndarray, spec: FeatureSpec, degree_cap: int) -> 
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != graph.num_nodes:
         raise ValueError(f"X must be ({graph.num_nodes}, d), got {X.shape}")
-    parts = [degree_one_hot(node_degrees(graph), max(degree_cap, 1))] if spec.use_degree else []
-    parts.append(X)
+    d = X.shape[1]
+    cap = max(degree_cap, 1)
+    deg = cap + 1 if spec.use_degree else 0  # width of the degree block
+    out = np.empty((graph.num_nodes, deg + (spec.K + 1) * d))
+    if spec.use_degree:
+        out[:, :deg] = degree_one_hot(node_degrees(graph), cap)
+    out[:, deg : deg + d] = X
     if spec.K > 0:
         adj = normalized_adjacency(graph, spec.epsilon).matrix
-        for _ in range(spec.K):
-            parts.append(spmm(adj, parts[-1]))
-    return np.concatenate(parts, axis=1)
+        for lo in range(deg, deg + spec.K * d, d):
+            out[:, lo + d : lo + 2 * d] = spmm(adj, out[:, lo : lo + d])
+    return out
 
 
 def dataset_degree_cap(dataset: Dataset) -> int:
@@ -124,16 +131,21 @@ def precompute_dataset(
             return _load_cache(path, sizes, len(spec.column_names(cap, dataset.feature_dim)))
         except Exception as exc:  # corrupt cache: recompute below
             warnings.warn(f"feature cache {path} unusable ({exc}); recomputing", stacklevel=2)
-    feats = [augment(g.graph, g.node_features, spec, cap) for g in dataset.graphs]
+    # One propagation over the disjoint union: its normalized adjacency is
+    # block diagonal and spmm sums each row on its own, so every graph's rows
+    # equal those of a per-graph augment bit for bit.
+    union = disjoint_union([g.graph for g in dataset.graphs])
+    X = np.concatenate([g.node_features for g in dataset.graphs])
+    feats = augment(union, X, spec, cap)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.save(fh, np.concatenate(feats, axis=0))
+            np.save(fh, feats)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return feats
+    return np.split(feats, np.cumsum(sizes)[:-1])
 
 
 def _load_cache(path: Path, sizes: list[int], width: int) -> list[np.ndarray]:

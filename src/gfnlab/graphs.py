@@ -192,6 +192,15 @@ def normalized_adjacency(graph: Graph, epsilon: float = 1.0) -> NormalizedAdjace
     return NormalizedAdjacency(from_coo((n, n), rows, cols, vals), epsilon)
 
 
+def disjoint_union(graphs: list[Graph]) -> Graph:
+    """One graph with each input graph as a component, nodes numbered in input order."""
+    node_offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    edge_offsets = np.cumsum([0] + [g.indices.size for g in graphs])
+    indptr = np.concatenate([[0]] + [g.indptr[1:] + e for g, e in zip(graphs, edge_offsets)])
+    indices = np.concatenate([g.indices + n for g, n in zip(graphs, node_offsets)])
+    return Graph(int(node_offsets[-1]), indptr, indices)
+
+
 def degree_one_hot(degrees: np.ndarray, max_bucket: int) -> np.ndarray:
     """One-hot encode degrees into ``max_bucket + 1`` buckets, clamping the tail."""
     if max_bucket < 1:

@@ -233,15 +233,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean negative log-likelihood and its gradient w.r.t. the logits."""
+    """Mean negative log-likelihood and its gradient w.r.t. the logits.
+
+    A row whose true-class probability rounds to 1 has a loss of exactly 0
+    and gets a gradient of exactly 0. Otherwise its gradient would be the
+    other classes' leftover probabilities, which shrink as training saturates
+    until the whole backward pass of that graph runs on subnormal floats,
+    many times slower than on normal ones.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("label out of range")
     probs = softmax(logits)
     n = logits.shape[0]
-    eps = np.finfo(probs.dtype).tiny
-    loss = float(-np.log(np.maximum(probs[np.arange(n), labels], eps)).mean())
+    rows = np.arange(n)
+    p_true = probs[rows, labels]
+    loss = float(-np.log(np.maximum(p_true, np.finfo(probs.dtype).tiny)).mean())
     grad = probs.copy()
-    grad[np.arange(n), labels] -= 1
+    grad[rows, labels] -= 1
+    grad[p_true == 1] = 0
     grad /= n
     return loss, grad

@@ -63,21 +63,38 @@ def from_coo(shape: tuple[int, int], rows, cols, vals) -> CSRMatrix:
 def spmm(adj: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     """Sparse-dense product ``adj @ dense``.
 
-    Summation runs row-major over the stored entries, so results are
-    reproducible bit for bit across runs.
+    Each output row is the sum of its stored entries' products taken strictly
+    left to right, so a row's result depends only on that row and is
+    reproducible bit for bit. The sweep follows the jagged-diagonal scheme:
+    rows ordered by entry count, longest first, so that the rows holding a
+    ``k``-th entry are a prefix of that order, and pass ``k`` adds those
+    entries into the prefix of a row-permuted accumulator. Temporaries stay
+    at ``[rows, width]``, however many entries there are.
     """
     dense = np.asarray(dense)
     if dense.ndim != 2:
         raise ValueError(f"dense operand must be 2-D, got ndim={dense.ndim}")
     if adj.shape[1] != dense.shape[0]:
         raise ValueError(f"shape mismatch: {adj.shape} @ {dense.shape}")
-    contrib = adj.data[:, None] * dense[adj.indices]
-    out = np.zeros((adj.shape[0], dense.shape[1]), dtype=contrib.dtype)
-    if contrib.shape[0] == 0:
-        return out
-    nonempty = np.flatnonzero(np.diff(adj.indptr) > 0)
-    # reduceat over starts of nonempty rows; empty rows stay zero.
-    out[nonempty] = np.add.reduceat(contrib, adj.indptr[:-1][nonempty], axis=0)
+    dtype = np.result_type(adj.data.dtype, dense.dtype)
+    dense = dense.astype(dtype, copy=False)
+    data = adj.data.astype(dtype, copy=False)
+    lengths = np.diff(adj.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts = adj.indptr[:-1][order]
+    # rows_with[k]: how many rows have more than k entries
+    rows_with = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    acc = np.zeros((adj.shape[0], dense.shape[1]), dtype=dtype)
+    for k, count in enumerate(rows_with):
+        pos = starts[:count] + k
+        term = dense[adj.indices[pos]]
+        term *= data[pos, None]
+        if k == 0:
+            acc[:count] = term  # start at the first entry: 0.0 + -0.0 would lose a sign
+        else:
+            acc[:count] += term
+    out = np.empty_like(acc)
+    out[order] = acc
     return out
 
 

@@ -120,6 +120,8 @@ BAD_OPTION_CASES = {
     "negative-k": (["cv", "--k", "-1"], None),
     "fractional-config": (["cv"], {"epochs": 2.7, "folds": 2, "model": "gln"}),
     "boolean-config": (["cv"], {"epochs": True, "folds": 2, "model": "gln"}),
+    "boolean-lr": (["cv"], {"lr": True, "epochs": 1, "folds": 2, "model": "gln"}),
+    "string-lr": (["cv"], {"lr": "0.01", "epochs": 1, "folds": 2, "model": "gln"}),
     "unknown-config-key": (["cv"], {"epoch": 1}),
 }
 

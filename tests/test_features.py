@@ -200,6 +200,25 @@ class TestCache:
         assert len(list(tmp_path.glob("*.npy"))) == 2
         assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npy", ".npy"]
 
+    def test_dataset_wide_propagation_equals_per_graph_augment(self, tmp_path, random_graph):
+        rng = np.random.default_rng(8)
+        shapes = [Graph.from_edges(1, []), Graph.from_edges(4, []),
+                  Graph.from_edges(13, [(0, i) for i in range(1, 13)])]
+        shapes += [random_graph(rng, n) for n in (6, 9, 3)]
+        graphs = [AttributedGraph(g, rng.standard_normal((g.num_nodes, 3)), i % 2)
+                  for i, g in enumerate(shapes)]
+        ds = Dataset("mixed", graphs, num_classes=2, feature_dim=3)
+        cap = dataset_degree_cap(ds)
+        for K in range(4):
+            for use_degree in (True, False):
+                spec = FeatureSpec(use_degree=use_degree, K=K)
+                expected = [augment(g.graph, g.node_features, spec, cap) for g in graphs]
+                for _ in range(2):  # cold, then warm
+                    feats = precompute_dataset(ds, spec, cache_dir=tmp_path)
+                    assert len(feats) == len(expected)
+                    for f, e in zip(feats, expected):
+                        assert np.array_equal(f, e)
+
     def test_env_var_overrides_default_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GFNLAB_CACHE", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"

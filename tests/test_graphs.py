@@ -9,12 +9,14 @@ from gfnlab.graphs import (
     StructureError,
     ValidationError,
     degree_one_hot,
+    disjoint_union,
     generate_dense_synthetic,
     generate_synthetic_dataset,
     node_degrees,
     normalized_adjacency,
     stratified_kfold,
 )
+from gfnlab.sparse import block_diag
 
 
 class TestGraph:
@@ -80,6 +82,18 @@ class TestNormalizedAdjacency:
         at = normalized_adjacency(g, epsilon=3.0).matrix.to_dense()
         # degrees become 4; off-diagonal 1/4, diagonal 3/4
         np.testing.assert_allclose(at, [[0.75, 0.25], [0.25, 0.75]], atol=1e-15)
+
+
+def test_disjoint_union_adjacency_is_block_diagonal(random_graph):
+    rng = np.random.default_rng(6)
+    parts = [random_graph(rng, n) for n in (5, 1, 8)] + [Graph.from_edges(3, [])]
+    union = disjoint_union(parts)
+    assert union.num_nodes == 17 and union.edge_count == sum(g.edge_count for g in parts)
+    whole = normalized_adjacency(union).matrix
+    blocks = block_diag([normalized_adjacency(g).matrix for g in parts])
+    for a, b in ((whole.indptr, blocks.indptr), (whole.indices, blocks.indices),
+                 (whole.data, blocks.data)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_degree_one_hot_clamps():

@@ -244,6 +244,18 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((1, 2)), np.array([2]))
 
+    def test_row_with_zero_loss_has_zero_gradient(self):
+        # Row 0's true-class probability rounds to 1 in float32 while the
+        # other class keeps 1e-40, a subnormal; row 1 is an ordinary row.
+        logits = np.array([[0.0, -92.1], [0.3, -0.2]], dtype=np.float32)
+        labels = np.array([0, 1])
+        loss, grad = softmax_cross_entropy(logits, labels)
+        assert softmax(logits)[0, 0] == 1 and 0 < softmax(logits)[0, 1] < np.finfo(np.float32).tiny
+        np.testing.assert_array_equal(grad[0], [0, 0])
+        _, alone = softmax_cross_entropy(logits[1:], labels[1:])
+        np.testing.assert_array_equal(grad[1], alone[0] / 2)
+        assert loss == softmax_cross_entropy(logits[1:], labels[1:])[0] / 2
+
 
 class TestAdam:
     def test_first_step_is_sign_scaled(self):

@@ -11,6 +11,19 @@ def dense_from_coo(shape, rows, cols, vals):
     return out
 
 
+def left_to_right(adj, x):
+    """Reference row sums: each row's products added one by one in stored order."""
+    out = np.zeros((adj.shape[0], x.shape[1]), dtype=np.result_type(adj.data, x))
+    for i in range(adj.shape[0]):
+        lo, hi = adj.indptr[i], adj.indptr[i + 1]
+        if hi > lo:
+            total = adj.data[lo] * x[adj.indices[lo]]
+            for j in range(lo + 1, hi):
+                total = total + adj.data[j] * x[adj.indices[j]]
+            out[i] = total
+    return out
+
+
 class TestCSRMatrix:
     def test_round_trip_to_dense(self):
         m = from_coo((3, 4), [0, 0, 2], [1, 3, 0], [1.0, 2.0, 3.0])
@@ -83,6 +96,41 @@ class TestSpmm:
         with pytest.raises(ValueError):
             spmm(m, np.ones(2))
 
+    def test_hub_rows_sum_left_to_right(self):
+        # 9 and 200 entries: long enough for a pairwise sum to reorder them
+        rng = np.random.default_rng(4)
+        rows = np.concatenate([np.zeros(9), np.ones(200), [2, 2, 4]]).astype(int)
+        cols = np.concatenate([rng.choice(300, 9, replace=False),
+                               rng.choice(300, 200, replace=False), [5, 7, 0]])
+        m = from_coo((5, 300), rows, cols, rng.standard_normal(rows.size).astype(np.float32))
+        x = rng.standard_normal((300, 16)).astype(np.float32)
+        out = spmm(m, x)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, left_to_right(m, x))
+
+    def test_duplicate_entries_are_summed(self):
+        rows, cols, vals = [0, 0, 0, 2], [1, 1, 2, 0], [1.0, 2.0, 4.0, 8.0]
+        m = from_coo((3, 3), rows, cols, vals)
+        x = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(spmm(m, x), dense_from_coo((3, 3), rows, cols, vals) @ x)
+
+    def test_float32_matrix_with_float64_operand_gives_float64(self):
+        rng = np.random.default_rng(2)
+        m = from_coo((6, 6), rng.integers(0, 6, 20), rng.integers(0, 6, 20),
+                     rng.standard_normal(20)).astype(np.float32)
+        x = rng.standard_normal((6, 3))
+        out = spmm(m, x)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, left_to_right(m, x))
+
+    def test_zero_width_operand(self):
+        m = from_coo((3, 3), [0, 1], [1, 2], [1.0, 2.0])
+        assert spmm(m, np.ones((3, 0))).shape == (3, 0)
+
+    def test_matrix_with_zero_rows(self):
+        m = from_coo((0, 3), [], [], [])
+        assert spmm(m, np.ones((3, 4))).shape == (0, 4)
+
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(5)
         m = from_coo((50, 50), rng.integers(0, 50, 300), rng.integers(0, 50, 300),
@@ -134,4 +182,4 @@ class TestBlockDiag:
             xs.append(rng.standard_normal((n, 4)))
         whole = spmm(block_diag(blocks), np.concatenate(xs, axis=0))
         parts = np.concatenate([spmm(b, x) for b, x in zip(blocks, xs)], axis=0)
-        np.testing.assert_allclose(whole, parts, atol=1e-14, rtol=0)
+        np.testing.assert_array_equal(whole, parts)
