@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,17 +35,44 @@ from .harness import (
 from .models import MODEL_KINDS, ModelConfig, default_feature_spec
 from .tu import parse_tu_dataset
 
-DEFAULTS = {
-    "model": "gfn",
-    "folds": 10,
-    "epochs": 100,
-    "batch": 128,
-    "lr": 0.001,
-    "k": None,  # resolved per model kind
-    "seed": 0,
-    "jobs": 1,
-    "out": "runs",
-    "data_root": "data",
+
+@dataclass(frozen=True)
+class Option:
+    """One option: its JSON type, its default and the subcommands that read it.
+    A bool option defaults to on; its flag ``--no-<name>`` turns it off."""
+
+    type: type
+    default: object
+    commands: tuple[str, ...]
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+TRAINING = ("cv", "benchmark", "ablate")
+EVERY = ("cv", "features", "benchmark", "ablate")
+
+# The one declaration of every option: argparse flags, config-file keys and
+# the manifest's config all come from it.
+OPTIONS = {
+    "model": Option(str, "gfn", ("cv", "ablate"), choices=MODEL_KINDS),
+    "folds": Option(int, TrainConfig.folds, TRAINING),
+    "epochs": Option(int, TrainConfig.epochs, TRAINING),
+    "batch": Option(int, TrainConfig.batch_size, TRAINING),
+    "lr": Option(float, TrainConfig.lr, TRAINING),
+    "k": Option(int, None, ("cv", "features", "ablate"),
+                "propagation depth; defaults to 3 (0 for gcn)"),
+    "seed": Option(int, TrainConfig.seed, TRAINING),
+    "jobs": Option(int, TrainConfig.jobs, ("cv", "ablate"),
+                   "fold-level worker processes (default 1, deterministic)"),
+    "out": Option(str, "runs", EVERY, "output root directory"),
+    "data_root": Option(str, "data", EVERY),
+    "degree": Option(bool, True, ("features",), "omit the degree one-hot block"),
+    "models": Option(str, "gcn,gfn,gfn-light", ("benchmark",),
+                     "comma list of model kinds to time"),
+    "warmup": Option(int, 1, ("benchmark",), "epochs dropped before taking the median"),
+    "axis": Option(str, None, ("ablate",), "the swept axis (required)", ("features", "depth")),
+    "grid": Option(str, None, ("ablate",),
+                   "layer counts for the depth axis: '1..5' or '1,2,3'"),
 }
 
 # Fixed construction seeds for the built-in corpora, independent of --seed so
@@ -56,9 +84,6 @@ SYNTHETIC_DENSE_SIZE = 64
 # BLAS thread settings recorded in the manifest: float32 results, and so the
 # report bytes, can depend on them.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-# Options that must be JSON integers in a config file (argparse checks the flags).
-INTEGER_OPTIONS = ("folds", "epochs", "batch", "k", "seed", "jobs")
 
 
 class UsageError(Exception):
@@ -140,82 +165,53 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, config: dict) -> dict:
-    """CLI flag > config file > default, for each option the subcommand takes."""
-    unknown = sorted(set(config) - set(DEFAULTS))
+    """Flag > config file > default for each option the subcommand reads,
+    each value checked against its entry in OPTIONS."""
+    known = [key for key, opt in OPTIONS.items() if args.command in opt.commands]
+    unknown = sorted(set(config) - set(known))
     if unknown:
-        raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
-                         f"known: {', '.join(DEFAULTS)}")
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)} for {args.command}; "
+                         f"known: {', '.join(known)}")
     out = {}
-    for key in DEFAULTS:
-        if not hasattr(args, key):
-            continue  # not an option of this subcommand
-        cli_val = getattr(args, key)
-        if cli_val is not None:
-            out[key] = cli_val
-        elif key in config:
-            out[key] = config[key]
-        else:
-            out[key] = DEFAULTS[key]
-        if key in INTEGER_OPTIONS and out[key] is not None and type(out[key]) is not int:
-            # refused, not truncated: int(2.7) is 2 and int(True) is 1
-            raise UsageError(f"{key} must be an integer, got {out[key]!r}")
-        if key == "lr" and type(out[key]) not in (int, float):
-            # refused, not converted: float(True) is 1.0 and float("0.1") is 0.1
-            raise UsageError(f"lr must be a number, got {out[key]!r}")
+    for key in known:
+        opt = OPTIONS[key]
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, opt.default)
+        # refused, not converted: int(2.7) is 2, int(True) is 1, float("0.1") is 0.1
+        allowed = (int, float) if opt.type is float else (opt.type,)
+        if not (value is None and opt.default is None or type(value) in allowed):
+            raise UsageError(f"{key} must be of type {opt.type.__name__}, got {value!r}")
+        if opt.choices and value not in opt.choices:
+            raise UsageError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+        out[key] = value
+    if "k" in out and out["k"] is None:  # the depth default depends on the model kind
+        out["k"] = default_feature_spec(out.get("model", "gfn")).K
     return out
-
-
-def _resolve_k(k, model_kind: str) -> int:
-    return default_feature_spec(model_kind).K if k is None else k
-
-
-def _add_common(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
-    parser.add_argument("--dataset", required=True,
-                        help="dataset name under --data-root, a directory path, "
-                             "'synthetic', or 'synthetic-dense'")
-    if with_model:
-        parser.add_argument("--model", choices=MODEL_KINDS, default=None)
-    parser.add_argument("--folds", type=int, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None,
-                        help="propagation depth; defaults to 3 (0 for gcn)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="fold-level worker processes (default 1, deterministic)")
-    parser.add_argument("--out", default=None, help="output root directory")
-    parser.add_argument("--data-root", dest="data_root", default=None)
-    parser.add_argument("--config", default=None, help="JSON file with default options")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gfnlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cv = sub.add_parser("cv", help="k-fold cross-validated training")
-    _add_common(p_cv)
-
-    p_feat = sub.add_parser("features", help="feature matrix export")
-    p_feat.add_argument("action", choices=["export"])
-    _add_common(p_feat, with_model=False)
-    p_feat.add_argument("--no-degree", action="store_true",
-                        help="omit the degree one-hot block")
-
-    p_bench = sub.add_parser("benchmark", help="per-epoch training time comparison")
-    _add_common(p_bench, with_model=False)
-    p_bench.add_argument("--models", default="gcn,gfn,gfn-light",
-                         help="comma list of model kinds to time")
-    p_bench.add_argument("--warmup", type=int, default=1,
-                         help="epochs dropped before taking the median")
-
-    p_abl = sub.add_parser("ablate", help="feature or depth sweep")
-    _add_common(p_abl)
-    p_abl.add_argument("--axis", choices=["features", "depth"], required=True)
-    p_abl.add_argument("--grid", default=None,
-                       help="layer counts for the depth axis: '1..5' or '1,2,3'")
-
+    for command, (text, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "features":
+            p.add_argument("action", choices=["export"])
+        p.add_argument("--dataset", required=True,
+                       help="dataset name under --data-root, a directory path, "
+                            "'synthetic', or 'synthetic-dense'")
+        p.add_argument("--config", help="JSON file of option values, keyed as in a "
+                                        "manifest's config")
+        for key, opt in OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            if opt.type is bool:
+                p.add_argument(f"--no-{key}", dest=key, action="store_const", const=False,
+                               help=opt.help)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
+                               choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -233,28 +229,26 @@ def parse_grid(text: str) -> list[int]:
     return values
 
 
-def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch"],
-        lr=resolved["lr"],
-        folds=resolved["folds"],
-        seed=resolved["seed"],
-        jobs=resolved["jobs"],
-    )
+def _train_config(resolved: dict, dataset: Dataset) -> TrainConfig:
+    """The run's TrainConfig; training options the subcommand does not read
+    keep TrainConfig's defaults."""
+    named_alike = {key: resolved[key] for key in ("epochs", "lr", "folds", "seed", "jobs")
+                   if key in resolved}
+    config = TrainConfig(batch_size=resolved["batch"], **named_alike)
+    if config.folds > len(dataset):
+        raise UsageError(f"--folds {config.folds} is above the {len(dataset)} graphs "
+                         f"of {dataset.name}: some fold would have no test graph")
+    return config
 
 
 def _model_config(resolved: dict, num_classes: int) -> ModelConfig:
-    kind = resolved["model"]
-    k = _resolve_k(resolved["k"], kind)
-    spec = FeatureSpec(K=k)
-    return ModelConfig(kind=kind, num_classes=num_classes, feature_spec=spec)
+    return ModelConfig(kind=resolved["model"], num_classes=num_classes,
+                       feature_spec=FeatureSpec(K=resolved["k"]))
 
 
-def cmd_cv(args: argparse.Namespace, resolved: dict, dataset: Dataset):
+def cmd_cv(resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
-    train_config = _train_config(resolved)
-    resolved["k"] = model_config.feature_spec.K
+    train_config = _train_config(resolved, dataset)
 
     def work(run_dir: Path):
         report = run_cv(dataset, model_config, train_config)
@@ -265,11 +259,8 @@ def cmd_cv(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     return f"cv-{dataset.name}-{model_config.kind}", model_config.kind, work
 
 
-def cmd_features(args: argparse.Namespace, resolved: dict, dataset: Dataset):
-    k = _resolve_k(resolved["k"], "gfn")
-    spec = FeatureSpec(use_degree=not args.no_degree, K=k)
-    resolved["k"] = spec.K
-    resolved["degree"] = spec.use_degree
+def cmd_features(resolved: dict, dataset: Dataset):
+    spec = FeatureSpec(use_degree=resolved["degree"], K=resolved["k"])
 
     def work(run_dir: Path):
         feats = precompute_dataset(dataset, spec)
@@ -280,21 +271,20 @@ def cmd_features(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     return f"features-{dataset.name}", "", work
 
 
-def cmd_benchmark(args: argparse.Namespace, resolved: dict, dataset: Dataset):
-    kinds = [k.strip() for k in args.models.split(",") if k.strip()]
+def cmd_benchmark(resolved: dict, dataset: Dataset):
+    kinds = [k.strip() for k in resolved["models"].split(",") if k.strip()]
     if len(kinds) < 2:
-        raise DataError("benchmark needs at least two model kinds to compare")
+        raise UsageError("benchmark needs at least two model kinds to compare")
     for kind in kinds:
         if kind not in MODEL_KINDS:
-            raise DataError(f"unknown model kind {kind!r} in --models")
-    train_config = _train_config(resolved)
-    if not 0 <= args.warmup < train_config.epochs:
+            raise UsageError(f"unknown model kind {kind!r} in --models")
+    train_config = _train_config(resolved, dataset)
+    warmup = resolved["warmup"]
+    if not 0 <= warmup < train_config.epochs:
         raise UsageError(f"--warmup must be >= 0 and below --epochs ({train_config.epochs})")
-    resolved["models"] = kinds
-    resolved["warmup"] = args.warmup
 
     def work(run_dir: Path):
-        report = benchmark_timing(dataset, kinds, train_config, warmup=args.warmup)
+        report = benchmark_timing(dataset, kinds, train_config, warmup=warmup)
         report_path = run_dir / "timing.json"
         report_path.write_text(report.to_json() + "\n")
         lines = [f"{'model':<12} {'epoch (s)':>12} {'speedup vs gcn':>16}"]
@@ -306,19 +296,18 @@ def cmd_benchmark(args: argparse.Namespace, resolved: dict, dataset: Dataset):
     return f"benchmark-{dataset.name}", ",".join(kinds), work
 
 
-def cmd_ablate(args: argparse.Namespace, resolved: dict, dataset: Dataset):
+def cmd_ablate(resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
-    train_config = _train_config(resolved)
+    train_config = _train_config(resolved, dataset)
+    axis = resolved["axis"]
     depth_values = None
-    if args.axis == "depth":
-        if not args.grid:
+    if axis == "depth":
+        if not resolved["grid"]:
             raise UsageError("--axis depth requires --grid (e.g. 1..5)")
-        depth_values = parse_grid(args.grid)
-    resolved["axis"] = args.axis
-    resolved["grid"] = depth_values
+        depth_values = parse_grid(resolved["grid"])
 
     def work(run_dir: Path):
-        rows = ablation_sweep(dataset, args.axis, model_config, train_config,
+        rows = ablation_sweep(dataset, axis, model_config, train_config,
                               depth_values=depth_values)
         csv_path = run_dir / "ablation.csv"
         write_ablation_csv(rows, train_config, csv_path)
@@ -327,32 +316,38 @@ def cmd_ablate(args: argparse.Namespace, resolved: dict, dataset: Dataset):
             for row in rows
         ]
 
-    return f"ablate-{dataset.name}-{args.axis}", model_config.kind, work
+    return f"ablate-{dataset.name}-{axis}", model_config.kind, work
 
 
+# subcommand -> (help, the function that validates its options and returns its work)
 COMMANDS = {
-    "cv": cmd_cv,
-    "features": cmd_features,
-    "benchmark": cmd_benchmark,
-    "ablate": cmd_ablate,
+    "cv": ("k-fold cross-validated training", cmd_cv),
+    "features": ("feature matrix export", cmd_features),
+    "benchmark": ("per-epoch training time comparison", cmd_benchmark),
+    "ablate": ("feature or depth sweep", cmd_ablate),
 }
+
+
+def _write_manifest(run_dir: Path, manifest: dict, **updates) -> None:
+    manifest.update(updates)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def run_command(args: argparse.Namespace) -> int:
     """The run lifecycle every subcommand shares.
 
-    Loads the config file, resolves options and the dataset, then hands them
-    to the subcommand, which validates them, records derived options in the
-    resolved config and returns (run label, model, work). A value the options
-    or configs reject there is a usage error, raised before the run dir
-    exists. ``work(run_dir)`` writes the one output and returns its path and
-    the lines to print.
+    Resolves the options and the dataset and hands them to the subcommand,
+    which validates them (a rejected value is a usage error, raised before the
+    run dir exists) and returns (run label, model, work). ``work(run_dir)``
+    writes the one output and returns its path and the lines to print. The
+    manifest says ``running`` while it works, then ``ok``, or ``failed`` with
+    the error text before the error propagates.
     """
     resolved = _resolve(args, _load_config_file(args.config))
-    dataset = resolve_dataset(args.dataset, str(resolved["data_root"]))
+    dataset = resolve_dataset(args.dataset, resolved["data_root"])
     try:
-        label, model, work = COMMANDS[args.command](args, resolved, dataset)
-    except (TypeError, ValueError) as exc:  # float("ten"), TrainConfig(epochs=0), ...
+        label, model, work = COMMANDS[args.command][1](resolved, dataset)
+    except (TypeError, ValueError) as exc:  # TrainConfig(epochs=0), FeatureSpec(K=-1), ...
         raise UsageError(str(exc)) from exc
     run_dir = make_run_dir(Path(resolved["out"]), label)
     manifest = {
@@ -360,7 +355,7 @@ def run_command(args: argparse.Namespace) -> int:
         "dataset": args.dataset,
         "model": model,
         "config": resolved,
-        "seeds": [resolved["seed"]],
+        "seeds": [resolved["seed"]] if "seed" in resolved else [],
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -369,10 +364,14 @@ def run_command(args: argparse.Namespace) -> int:
         },
         "started": _now(),
     }
-    output, lines = work(run_dir)
-    manifest["finished"] = _now()
-    manifest["outputs"] = [str(output)]
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(run_dir, manifest, status="running", error=None, finished=None, outputs=[])
+    try:
+        output, lines = work(run_dir)
+    except BaseException as exc:
+        _write_manifest(run_dir, manifest, status="failed", error=f"{type(exc).__name__}: {exc}",
+                        finished=_now())
+        raise
+    _write_manifest(run_dir, manifest, status="ok", finished=_now(), outputs=[str(output)])
     print(f"run dir: {run_dir}")
     for line in lines:
         print(line)
@@ -380,8 +379,7 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return run_command(args)
     except UsageError as exc:

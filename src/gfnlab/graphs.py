@@ -233,8 +233,8 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     Classes with fewer than ``k`` members trigger a warning and a best-effort
     assignment (some folds simply receive none of that class).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if not 2 <= k <= len(dataset):
+        raise ValueError(f"k must be at least 2 and at most the {len(dataset)} graphs")
     labels = dataset.labels
     rng = np.random.default_rng(seed)
     assignments = np.full(len(dataset), -1, dtype=np.int64)

@@ -36,8 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.folds < 2 or self.jobs < 1:
             raise ValueError("epochs/batch_size/jobs must be >= 1 and folds >= 2")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        if not 0 <= self.lr < float("inf"):  # also false for nan
+            raise ValueError("lr must be finite and nonnegative")
 
 
 @dataclass

@@ -139,7 +139,7 @@ class BatchNorm:
     terms through the batch mean and variance.
     """
 
-    def __init__(self, dim: int, rng=None, momentum: float = 0.1, eps: float = 1e-5,
+    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
                  dtype=np.float32, name: str = "bn"):
         self.gamma = Parameter(f"{name}.gamma", np.ones(dim, dtype=dtype))
         self.beta = Parameter(f"{name}.beta", np.zeros(dim, dtype=dtype))

@@ -5,7 +5,7 @@ import platform
 import numpy as np
 import pytest
 
-from gfnlab.cli import main, parse_grid, resolve_dataset
+from gfnlab.cli import build_parser, main, parse_grid, resolve_dataset
 from gfnlab.graphs import DataError
 
 from conftest import write_tu_files
@@ -123,6 +123,11 @@ BAD_OPTION_CASES = {
     "boolean-lr": (["cv"], {"lr": True, "epochs": 1, "folds": 2, "model": "gln"}),
     "string-lr": (["cv"], {"lr": "0.01", "epochs": 1, "folds": 2, "model": "gln"}),
     "unknown-config-key": (["cv"], {"epoch": 1}),
+    "option-of-another-subcommand": (["benchmark"], {"k": 1}),
+    "config-model-not-a-kind": (["cv"], {"model": "mlp"}),
+    "nan-lr": (["cv", "--model", "gln", "--lr", "nan", "--epochs", "1", "--folds", "2"], None),
+    "inf-lr": (["cv", "--model", "gln", "--lr", "inf", "--epochs", "1", "--folds", "2"], None),
+    "ablate-without-axis": (["ablate"], None),
 }
 
 
@@ -158,13 +163,13 @@ class TestBenchmarkCommand:
     def test_single_model_rejected(self, tmp_path, capsys):
         code = run(["benchmark", "--dataset", "synthetic", "--models", "gcn",
                     "--out", str(tmp_path / "r")])
-        assert code == 1
+        assert code == 2
         assert "at least two" in capsys.readouterr().err
 
     def test_unknown_model_rejected(self, tmp_path, capsys):
         code = run(["benchmark", "--dataset", "synthetic", "--models", "gcn,magic",
                     "--out", str(tmp_path / "r")])
-        assert code == 1
+        assert code == 2
         assert "unknown model kind" in capsys.readouterr().err
 
 
@@ -201,29 +206,60 @@ class TestAblateCommand:
         assert "--grid" in capsys.readouterr().err
 
 
-# subcommand -> (its own flags, manifest command, manifest model, output name)
+TRAIN_FLAGS = ["--epochs", "2", "--folds", "2", "--seed", "3"]
+
+# subcommand -> (its own flags, manifest command, manifest model, seeds, output name)
 MANIFEST_CASES = {
-    "cv": (["cv", "--model", "gln"], "cv", "gln", "report.json"),
-    "features": (["features", "export"], "features export", "", "features"),
-    "benchmark": (["benchmark", "--models", "gcn,gln"], "benchmark",
-                  "gcn,gln", "timing.json"),
-    "ablate": (["ablate", "--model", "gln", "--axis", "depth", "--grid", "0"], "ablate",
-               "gln", "ablation.csv"),
+    "cv": (["cv", "--model", "gln"] + TRAIN_FLAGS, "cv", "gln", [3], "report.json"),
+    "features": (["features", "export", "--k", "1"], "features export", "", [], "features"),
+    "benchmark": (["benchmark", "--models", "gcn,gln"] + TRAIN_FLAGS, "benchmark",
+                  "gcn,gln", [3], "timing.json"),
+    "ablate": (["ablate", "--model", "gln", "--axis", "depth", "--grid", "0"] + TRAIN_FLAGS,
+               "ablate", "gln", [3], "ablation.csv"),
 }
+MANIFEST_KEYS = {"command", "dataset", "model", "config", "seeds", "env", "started",
+                 "finished", "outputs", "status", "error"}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and "cv" in a.choices).choices
+    flags = {name: {opt for action in p._actions for opt in action.option_strings}
+             - {"-h", "--help"} for name, p in subparsers.items()}
+    assert sum(len(f) for f in flags.values()) == 43
+    assert "--epochs" not in flags["features"] and "--lr" not in flags["features"]
+    assert "--k" not in flags["benchmark"] and "--jobs" not in flags["benchmark"]
+    for argv in (["features", "export", "--epochs", "3"], ["benchmark", "--k", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--dataset", "synthetic"])
+        assert exc.value.code == 2
+
+
+def test_folds_above_graph_count_exit_two_before_any_run_dir(tmp_path, capsys):
+    d = write_tu_files(tmp_path / "three", "three",
+                       indicator=["1", "1", "2", "2", "3", "3"],
+                       edges=["1 2", "2 1", "3 4", "4 3", "5 6", "6 5"],
+                       graph_labels=["1", "2", "1"])
+    out = tmp_path / "runs"
+    code = run(["cv", "--dataset", str(d), "--model", "gln", "--epochs", "1",
+                "--folds", "4", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestManifest:
     @pytest.mark.parametrize("subcommand", list(MANIFEST_CASES))
     def test_every_subcommand_writes_the_same_manifest(self, tmp_path, subcommand):
-        flags, command, model, output = MANIFEST_CASES[subcommand]
+        flags, command, model, seeds, output = MANIFEST_CASES[subcommand]
         out = tmp_path / "runs"
-        code = run(flags + ["--dataset", "synthetic", "--epochs", "2", "--folds", "2",
-                            "--seed", "3", "--out", str(out)])
+        code = run(flags + ["--dataset", "synthetic", "--out", str(out)])
         assert code == 0
         run_dir = single_run_dir(out)
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert set(manifest) == {"command", "dataset", "model", "config", "seeds", "env",
-                                 "started", "finished", "outputs"}
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["status"] == "ok" and manifest["error"] is None
         assert manifest["env"]["python"] == platform.python_version()
         assert manifest["env"]["numpy"] == np.__version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -232,9 +268,41 @@ class TestManifest:
             assert manifest["env"][var] == os.environ.get(var)
         assert manifest["command"] == command
         assert manifest["model"] == model
-        assert manifest["seeds"] == [3]
+        assert manifest["seeds"] == seeds
         assert manifest["outputs"] == [str(run_dir / output)]
         assert (run_dir / output).exists()
+
+    @pytest.mark.parametrize("subcommand", list(MANIFEST_CASES))
+    def test_config_replays(self, tmp_path, subcommand):
+        flags = MANIFEST_CASES[subcommand][0]
+        command = flags[:2] if subcommand == "features" else flags[:1]
+        first = self._run_manifest(flags, tmp_path / "first")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(first["config"]))
+        second = self._run_manifest(command + ["--config", str(cfg)], tmp_path / "second")
+        assert second["config"].pop("out") == str(tmp_path / "second")
+        assert first["config"].pop("out") == str(tmp_path / "first")
+        assert second["config"] == first["config"]
+        assert second["model"] == first["model"] and second["seeds"] == first["seeds"]
+
+    @staticmethod
+    def _run_manifest(flags, out):
+        assert run(flags + ["--dataset", "synthetic", "--out", str(out)]) == 0
+        return json.loads((single_run_dir(out) / "manifest.json").read_text())
+
+    def test_failed_run_records_status_and_error(self, tmp_path, monkeypatch):
+        def broken_run_cv(*args, **kwargs):
+            raise RuntimeError("fold 0 diverged")
+
+        monkeypatch.setattr("gfnlab.cli.run_cv", broken_run_cv)
+        out = tmp_path / "runs"
+        with pytest.raises(RuntimeError, match="diverged"):
+            run(["cv", "--dataset", "synthetic", "--model", "gln", "--out", str(out)])
+        manifest = json.loads((single_run_dir(out) / "manifest.json").read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "RuntimeError: fold 0 diverged"
+        assert manifest["finished"] and manifest["outputs"] == []
 
 
 class TestGridParser:

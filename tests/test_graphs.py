@@ -182,6 +182,12 @@ class TestStratifiedKFold:
         with pytest.raises(ValueError):
             stratified_kfold(ds, 1, seed=0)
 
+    def test_k_above_graph_count_rejected(self):
+        # a fourth fold of three graphs would have an empty test set
+        ds = self._dataset_with_labels([0, 1, 0])
+        with pytest.raises(ValueError, match="at most the 3 graphs"):
+            stratified_kfold(ds, 4, seed=0)
+
 
 class TestSyntheticCorpora:
     def test_cycles_vs_stars_structure(self):

@@ -44,6 +44,9 @@ class TestTrainConfig:
             TrainConfig(folds=1)
         with pytest.raises(ValueError):
             TrainConfig(lr=-0.1)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(lr=lr)
 
 
 class TestPrepare:
