@@ -27,6 +27,7 @@ from .features import FeatureSpec, export_csv, precompute_dataset
 from .graphs import DataError, Dataset, generate_dense_synthetic, generate_synthetic_dataset
 from .harness import (
     TrainConfig,
+    ablation_cells,
     ablation_sweep,
     benchmark_timing,
     run_cv,
@@ -38,14 +39,16 @@ from .tu import parse_tu_dataset
 
 @dataclass(frozen=True)
 class Option:
-    """One option: its JSON type, its default and the subcommands that read it.
-    A bool option defaults to on; its flag ``--no-<name>`` turns it off."""
+    """One option: its JSON type, its default, the subcommands that read it
+    and the ablate axes that read it (None: every axis). A bool option
+    defaults to on; its flag ``--no-<name>`` turns it off."""
 
     type: type
     default: object
     commands: tuple[str, ...]
     help: str | None = None
     choices: tuple[str, ...] | None = None
+    axes: tuple[str, ...] | None = None
 
 
 TRAINING = ("cv", "benchmark", "ablate")
@@ -60,7 +63,7 @@ OPTIONS = {
     "batch": Option(int, TrainConfig.batch_size, TRAINING),
     "lr": Option(float, TrainConfig.lr, TRAINING),
     "k": Option(int, None, ("cv", "features", "ablate"),
-                "propagation depth; defaults to 3 (0 for gcn)"),
+                "propagation depth; defaults to 3 (0 for gcn)", axes=("depth",)),
     "seed": Option(int, TrainConfig.seed, TRAINING),
     "jobs": Option(int, TrainConfig.jobs, ("cv", "ablate"),
                    "fold-level worker processes (default 1, deterministic)"),
@@ -72,7 +75,7 @@ OPTIONS = {
     "warmup": Option(int, 1, ("benchmark",), "epochs dropped before taking the median"),
     "axis": Option(str, None, ("ablate",), "the swept axis (required)", ("features", "depth")),
     "grid": Option(str, None, ("ablate",),
-                   "layer counts for the depth axis: '1..5' or '1,2,3'"),
+                   "layer counts for the depth axis: '1..5' or '1,2,3'", axes=("depth",)),
 }
 
 # Fixed construction seeds for the built-in corpora, independent of --seed so
@@ -185,6 +188,11 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
         if opt.choices and value not in opt.choices:
             raise UsageError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
         out[key] = value
+    axis = out.get("axis")  # an ablate run reads some options on one axis only
+    for key in [key for key in out if axis and OPTIONS[key].axes and axis not in OPTIONS[key].axes]:
+        if getattr(args, key) is not None or key in config:
+            raise UsageError(f"--{key} is not read by --axis {axis}")
+        del out[key]
     if "k" in out and out["k"] is None:  # the depth default depends on the model kind
         out["k"] = default_feature_spec(out.get("model", "gfn")).K
     return out
@@ -242,8 +250,8 @@ def _train_config(resolved: dict, dataset: Dataset) -> TrainConfig:
 
 
 def _model_config(resolved: dict, num_classes: int) -> ModelConfig:
-    return ModelConfig(kind=resolved["model"], num_classes=num_classes,
-                       feature_spec=FeatureSpec(K=resolved["k"]))
+    spec = FeatureSpec(K=resolved["k"]) if "k" in resolved else None
+    return ModelConfig(kind=resolved["model"], num_classes=num_classes, feature_spec=spec)
 
 
 def cmd_cv(resolved: dict, dataset: Dataset):
@@ -305,6 +313,7 @@ def cmd_ablate(resolved: dict, dataset: Dataset):
         if not resolved["grid"]:
             raise UsageError("--axis depth requires --grid (e.g. 1..5)")
         depth_values = parse_grid(resolved["grid"])
+    ablation_cells(axis, model_config, depth_values)  # refuses a bad cell before the run dir
 
     def work(run_dir: Path):
         rows = ablation_sweep(dataset, axis, model_config, train_config,

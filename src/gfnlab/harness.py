@@ -19,7 +19,7 @@ import numpy as np
 
 from .features import FeatureSpec, precompute_dataset
 from .graphs import Dataset, normalized_adjacency, stratified_kfold
-from .models import BatchedGraphs, ModelConfig, ModelInstance, make_batch
+from .models import CONV_STACK_KINDS, BatchedGraphs, ModelConfig, ModelInstance, make_batch
 from .nn import adam_step, softmax_cross_entropy
 from .sparse import CSRMatrix
 
@@ -45,10 +45,8 @@ class PreparedDataset:
     """Dataset lowered to training tensors: float32 feature matrices per graph,
     plus per-graph normalized adjacencies when the model aggregates."""
 
-    name: str
     features: list[np.ndarray]
     labels: np.ndarray
-    num_classes: int
     input_dim: int
     adjacencies: list[CSRMatrix] | None = None
 
@@ -66,19 +64,12 @@ def prepare_dataset(
     feature_seconds = time.perf_counter() - t0
     features = [f.astype(np.float32) for f in feats]
     adjacencies = None
-    if model_config.kind == "gcn":
+    if model_config.needs_adjacency:
         adjacencies = [
             normalized_adjacency(g.graph, spec.epsilon).matrix.astype(np.float32)
             for g in dataset.graphs
         ]
-    prepared = PreparedDataset(
-        name=dataset.name,
-        features=features,
-        labels=dataset.labels,
-        num_classes=dataset.num_classes,
-        input_dim=features[0].shape[1],
-        adjacencies=adjacencies,
-    )
+    prepared = PreparedDataset(features, dataset.labels, features[0].shape[1], adjacencies)
     return prepared, feature_seconds
 
 
@@ -114,17 +105,14 @@ def evaluate(
     prepared: PreparedDataset,
     indices: np.ndarray,
     batch_size: int,
-) -> tuple[float, float]:
-    """Accuracy and mean cross-entropy over ``indices`` in eval mode."""
+) -> float:
+    """Accuracy over ``indices`` in eval mode."""
     correct = 0
-    loss_sum = 0.0
     for idx in _batched_indices(indices, batch_size):
         batch = _gather_batch(prepared, idx)
         logits = model.forward(batch, train=False)
-        loss, _ = softmax_cross_entropy(logits, batch.labels)
-        loss_sum += loss * idx.size
         correct += int((logits.argmax(axis=1) == batch.labels).sum())
-    return correct / indices.size, loss_sum / indices.size
+    return correct / indices.size
 
 
 def train_fold(
@@ -151,9 +139,14 @@ def train_fold(
             np.random.SeedSequence((train_config.seed, fold, epoch))
         )
         order = train_idx[shuffle.permutation(train_idx.size)]
-        batches = list(_batched_indices(order, train_config.batch_size))
-        # batch norm needs two node rows in train mode: a tail batch with
-        # fewer is folded into the batch before it
+        # batch norm needs two node rows in train mode: a batch with fewer
+        # takes in the batch after it, or joins the one before when it is last
+        batches = []
+        for idx in _batched_indices(order, train_config.batch_size):
+            if batches and num_nodes[batches[-1]].sum() < 2:
+                batches[-1] = np.concatenate([batches[-1], idx])
+            else:
+                batches.append(idx)
         if len(batches) > 1 and num_nodes[batches[-1]].sum() < 2:
             batches[-2:] = [np.concatenate(batches[-2:])]
         correct = 0
@@ -171,8 +164,7 @@ def train_fold(
         if record_metrics:
             trace.train_acc.append(correct / train_idx.size)
             trace.train_loss.append(loss_sum / train_idx.size)
-            test_acc, _ = evaluate(model, prepared, test_idx, train_config.batch_size)
-            trace.test_acc.append(test_acc)
+            trace.test_acc.append(evaluate(model, prepared, test_idx, train_config.batch_size))
     return trace
 
 
@@ -275,6 +267,25 @@ def feature_ablation_cells():
     return cells
 
 
+def ablation_cells(axis: str, model_config: ModelConfig, depth_values=None) -> list[tuple]:
+    """The (value, model config) cells of a sweep, each one validated, so a
+    bad cell is refused before any cell trains."""
+    if axis == "features":
+        return [
+            (name, replace(model_config, feature_spec=spec))
+            for name, spec in feature_ablation_cells()
+        ]
+    if axis != "depth":
+        raise ValueError(f"unknown ablation axis {axis!r}")
+    if not depth_values:
+        raise ValueError("depth axis needs at least one layer count")
+    if model_config.kind not in CONV_STACK_KINDS:
+        raise ValueError(f"the depth axis sweeps the layers that {', '.join(CONV_STACK_KINDS)} "
+                         f"stack; {model_config.kind} has none")
+    return [(int(depth), replace(model_config, num_conv_layers=int(depth)))
+            for depth in depth_values]
+
+
 def ablation_sweep(
     dataset: Dataset,
     axis: str,
@@ -285,24 +296,8 @@ def ablation_sweep(
 ) -> list[dict]:
     """Sweep either the feature configuration ('features') or the number of
     per-node transform layers ('depth'); returns one result row per cell."""
-    if axis == "features":
-        cells = [
-            (name, replace(model_config, feature_spec=spec))
-            for name, spec in feature_ablation_cells()
-        ]
-    elif axis == "depth":
-        if not depth_values:
-            raise ValueError("depth axis needs at least one layer count")
-        if any(depth < 0 for depth in depth_values):
-            raise ValueError("layer counts must be nonnegative")
-        cells = [
-            (int(depth), replace(model_config, num_conv_layers=int(depth)))
-            for depth in depth_values
-        ]
-    else:
-        raise ValueError(f"unknown ablation axis {axis!r}")
     rows = []
-    for value, cfg in cells:
+    for value, cfg in ablation_cells(axis, model_config, depth_values):
         report = run_cv(dataset, cfg, train_config, cache_dir)
         rows.append(
             {
@@ -366,8 +361,7 @@ def benchmark_timing(
     train_idx, test_idx = plan.train_indices(0), plan.test_indices(0)
     entries = []
     for kind in kinds:
-        num_classes = dataset.num_classes
-        cfg = ModelConfig(kind=kind, num_classes=num_classes)
+        cfg = ModelConfig(kind=kind, num_classes=dataset.num_classes)
         prepared, feature_seconds = prepare_dataset(dataset, cfg, cache_dir)
         trace = train_fold(
             prepared, cfg, train_config, 0, train_idx, test_idx, record_metrics=False

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sparse
 from .features import FeatureSpec
 from .nn import (
     Affine,
     BatchNorm,
-    Parameter,
     ParameterSet,
     ReLU,
     SegmentIndex,
@@ -27,6 +27,8 @@ from .nn import (
 from .sparse import CSRMatrix, spmm
 
 MODEL_KINDS = ("gcn", "gfn", "gfn-light", "gln")
+# the kinds that stack ``num_conv_layers`` hidden transforms after the first
+CONV_STACK_KINDS = ("gcn", "gfn")
 
 
 def default_feature_spec(kind: str) -> FeatureSpec:
@@ -46,8 +48,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        if self.num_conv_layers < 0:
+            raise ValueError(f"num_conv_layers must be nonnegative, got {self.num_conv_layers}")
         if self.feature_spec is None:
             self.feature_spec = default_feature_spec(self.kind)
+
+    @property
+    def needs_adjacency(self) -> bool:
+        """Whether the model aggregates over the normalized adjacency."""
+        return self.kind == "gcn"
 
 
 @dataclass
@@ -73,35 +82,19 @@ class BatchedGraphs:
             raise ValueError("adjacency must be square over the stacked nodes")
 
 
-class GraphConv:
-    """One aggregation layer: spmm(adjacency, H) @ W + b.
+class GraphConv(Affine):
+    """An Affine that aggregates first: spmm(adjacency, H) @ W + b.
 
     Backward uses the symmetry of the normalized adjacency to push gradients
     back through the sparse product.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 dtype=np.float32, name: str = "conv"):
-        self._affine = Affine(in_dim, out_dim, rng, dtype=dtype, name=name)
-        self._adj = None
-
-    @property
-    def weight(self) -> Parameter:
-        return self._affine.weight
-
-    @property
-    def bias(self) -> Parameter:
-        return self._affine.bias
-
-    def parameters(self) -> list[Parameter]:
-        return self._affine.parameters()
-
     def forward(self, x: np.ndarray, adj: CSRMatrix, train: bool = True) -> np.ndarray:
         self._adj = adj
-        return self._affine.forward(spmm(adj, x), train)
+        return super().forward(spmm(adj, x), train)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return spmm(self._adj, self._affine.backward(grad_out))
+        return spmm(self._adj, super().backward(grad_out))
 
 
 class ModelInstance:
@@ -115,43 +108,23 @@ class ModelInstance:
         rng = np.random.default_rng(seed)
         h = config.hidden_dim
         c = config.num_classes
-        self.node_blocks: list[tuple] = []
-        kind = config.kind
-
-        def node_block(transform, index):
-            bn = BatchNorm(h, name=f"node{index}.bn")
-            self.node_blocks.append((transform, bn, ReLU()))
-
-        if kind == "gcn":
-            node_block(Affine(input_dim, h, rng, name="node0"), 0)
-            for i in range(config.num_conv_layers):
-                node_block(GraphConv(h, h, rng, name=f"node{i + 1}"), i + 1)
-        elif kind == "gfn":
-            node_block(Affine(input_dim, h, rng, name="node0"), 0)
-            for i in range(config.num_conv_layers):
-                node_block(Affine(h, h, rng, name=f"node{i + 1}"), i + 1)
-        elif kind == "gfn-light":
-            node_block(Affine(input_dim, h, rng, name="node0"), 0)
-        elif kind == "gln":
-            pass  # pooling straight over the input features
-
-        if kind == "gln":
+        # node0 lifts the input to the hidden width; gcn and gfn stack more
+        # hidden transforms on it, which differ only in whether they aggregate
+        hidden = GraphConv if config.needs_adjacency else Affine
+        depth = config.num_conv_layers if config.kind in CONV_STACK_KINDS else 0
+        widths = [] if config.kind == "gln" else [input_dim] + [h] * depth
+        self.node_blocks = [
+            ((hidden if i else Affine)(width, h, rng, name=f"node{i}"),
+             BatchNorm(h, name=f"node{i}.bn"), ReLU())
+            for i, width in enumerate(widths)
+        ]
+        if config.kind == "gln":  # pooling straight over the input features
             self.head = [Affine(input_dim, c, rng, name="head0")]
         else:
             self.head = [Affine(h, h, rng, name="head0"), ReLU(), Affine(h, c, rng, name="head1")]
-
-        params = []
-        for transform, bn, _ in self.node_blocks:
-            params.extend(transform.parameters())
-            params.extend(bn.parameters())
-        for layer in self.head:
-            params.extend(layer.parameters())
-        self.params = ParameterSet(params)
+        layers = [layer for block in self.node_blocks for layer in block] + self.head
+        self.params = ParameterSet([p for layer in layers for p in layer.parameters()])
         self._seg = None
-
-    @property
-    def needs_adjacency(self) -> bool:
-        return self.config.kind == "gcn"
 
     def forward(self, batch: BatchedGraphs, train: bool = True) -> np.ndarray:
         if batch.features.shape[1] != self.input_dim:
@@ -159,7 +132,7 @@ class ModelInstance:
                 f"batch has {batch.features.shape[1]} feature columns, "
                 f"model expects {self.input_dim}"
             )
-        if self.needs_adjacency and batch.adjacency is None:
+        if self.config.needs_adjacency and batch.adjacency is None:
             raise ValueError("this model requires the batched adjacency")
         x = batch.features
         for transform, bn, act in self.node_blocks:
@@ -214,11 +187,8 @@ def make_batch(
     adjacencies: list[CSRMatrix] | None = None,
 ) -> BatchedGraphs:
     """Stack per-graph feature matrices (and optionally adjacencies) into a batch."""
-    # imported at call time: perfbench/layers.py patches only gfnlab.sparse.block_diag
-    from .sparse import block_diag
-
     seg = SegmentIndex.from_sizes([f.shape[0] for f in features])
     stacked = np.concatenate(features, axis=0)
-    adj = block_diag(adjacencies) if adjacencies is not None else None
+    adj = sparse.block_diag(adjacencies) if adjacencies is not None else None
     return BatchedGraphs(stacked, seg, np.asarray(labels, dtype=np.int64), adj)
 

@@ -128,6 +128,8 @@ BAD_OPTION_CASES = {
     "nan-lr": (["cv", "--model", "gln", "--lr", "nan", "--epochs", "1", "--folds", "2"], None),
     "inf-lr": (["cv", "--model", "gln", "--lr", "inf", "--epochs", "1", "--folds", "2"], None),
     "ablate-without-axis": (["ablate"], None),
+    "config-k-on-features-axis": (["ablate", "--axis", "features", "--epochs", "1", "--folds",
+                                   "2"], {"k": 3}),
 }
 
 
@@ -199,6 +201,25 @@ class TestAblateCommand:
         assert "negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--k", "1"], ["--grid", "7"]])
+    def test_features_axis_rejects_depth_options(self, tmp_path, capsys, flags):
+        out = tmp_path / "r"
+        code = run(["ablate", "--dataset", "synthetic", "--axis", "features", "--epochs", "1",
+                    "--folds", "2", "--out", str(out)] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} " in err and "--axis features" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["gln", "gfn-light"])
+    def test_depth_axis_needs_a_conv_stack(self, tmp_path, capsys, model):
+        out = tmp_path / "r"
+        code = run(["ablate", "--dataset", "synthetic", "--axis", "depth", "--grid", "0..3",
+                    "--model", model, "--epochs", "1", "--folds", "2", "--out", str(out)])
+        assert code == 2
+        assert model in capsys.readouterr().err
+        assert not out.exists()
+
     def test_depth_without_grid_is_usage_error(self, tmp_path, capsys):
         code = run(["ablate", "--dataset", "synthetic", "--axis", "depth",
                     "--out", str(tmp_path / "r")])
@@ -214,8 +235,10 @@ MANIFEST_CASES = {
     "features": (["features", "export", "--k", "1"], "features export", "", [], "features"),
     "benchmark": (["benchmark", "--models", "gcn,gln"] + TRAIN_FLAGS, "benchmark",
                   "gcn,gln", [3], "timing.json"),
-    "ablate": (["ablate", "--model", "gln", "--axis", "depth", "--grid", "0"] + TRAIN_FLAGS,
-               "ablate", "gln", [3], "ablation.csv"),
+    "ablate": (["ablate", "--model", "gfn", "--axis", "depth", "--grid", "0"] + TRAIN_FLAGS,
+               "ablate", "gfn", [3], "ablation.csv"),
+    "ablate-features": (["ablate", "--model", "gln", "--axis", "features"] + TRAIN_FLAGS,
+                        "ablate", "gln", [3], "ablation.csv"),
 }
 MANIFEST_KEYS = {"command", "dataset", "model", "config", "seeds", "env", "started",
                  "finished", "outputs", "status", "error"}
@@ -284,6 +307,11 @@ class TestManifest:
         assert first["config"].pop("out") == str(tmp_path / "first")
         assert second["config"] == first["config"]
         assert second["model"] == first["model"] and second["seeds"] == first["seeds"]
+
+    def test_features_axis_records_neither_k_nor_grid(self, tmp_path):
+        manifest = self._run_manifest(MANIFEST_CASES["ablate-features"][0], tmp_path / "runs")
+        assert manifest["config"]["axis"] == "features"
+        assert "k" not in manifest["config"] and "grid" not in manifest["config"]
 
     @staticmethod
     def _run_manifest(flags, out):

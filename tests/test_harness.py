@@ -126,6 +126,22 @@ class TestTrainFold:
         assert len(report.per_fold_acc) == 2
         assert sizes == [10, 9, 1] * 2  # one merged train batch, then the eval batches per fold
 
+    def test_one_row_batch_joins_the_next_batch(self, monkeypatch):
+        """Single-node graphs in batches of one: each one-row batch takes in
+        the batch after it, so every train batch has two rows."""
+        graphs = [AttributedGraph(Graph.from_edges(1, []), [[float(i % 2)]], i % 2)
+                  for i in range(20)]
+        ds = Dataset("singletons", graphs, num_classes=2, feature_dim=1)
+        sizes = []
+
+        def recording_make_batch(features, labels, adjacencies=None):
+            sizes.append(len(features))
+            return make_batch(features, labels, adjacencies)
+
+        monkeypatch.setattr(harness, "make_batch", recording_make_batch)
+        run_cv(ds, ModelConfig("gfn", 2), TrainConfig(epochs=1, batch_size=1, folds=2))
+        assert sizes == ([2] * 5 + [1] * 10) * 2  # train batches, then eval batches per fold
+
     def test_trace_json_form_has_no_timings(self):
         """Epoch wall times stay out of report.json at any depth but stay in
         every timing.json entry."""

@@ -35,6 +35,15 @@ class TestModelConfig:
         assert ModelConfig(kind="gfn", num_classes=2).feature_spec.K == 3
         assert ModelConfig(kind="gln", num_classes=2).feature_spec.use_degree
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ModelConfig(kind="gfn", num_classes=2, num_conv_layers=-1)
+
+    def test_needs_adjacency_flag(self):
+        assert ModelConfig(kind="gcn", num_classes=2).needs_adjacency
+        assert not any(ModelConfig(kind=kind, num_classes=2).needs_adjacency
+                       for kind in ("gfn", "gfn-light", "gln"))
+
 
 class TestParameterCounts:
     def test_gcn_default_closed_form(self):
@@ -269,8 +278,3 @@ class TestForward:
         batch = make_batch([np.ones((2, 3), dtype=np.float32)], np.array([0]))
         with pytest.raises(ValueError, match="feature columns"):
             model.forward(batch, train=False)
-
-    def test_needs_adjacency_flag(self):
-        assert ModelInstance(ModelConfig(kind="gcn", num_classes=2), 3).needs_adjacency
-        assert not ModelInstance(ModelConfig(kind="gfn", num_classes=2), 3).needs_adjacency
-
