@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureSpec, export_csv, precompute_dataset
-from .graphs import DataError, Dataset, generate_dense_synthetic, generate_synthetic_dataset
+from .graphs import (
+    DataError,
+    Dataset,
+    generate_dense_synthetic,
+    generate_synthetic_dataset,
+    stratified_kfold,
+)
 from .harness import (
     TrainConfig,
     ablation_cells,
@@ -33,7 +40,7 @@ from .harness import (
     run_cv,
     write_ablation_csv,
 )
-from .models import MODEL_KINDS, ModelConfig, default_feature_spec
+from .models import BATCH_NORM_KINDS, MODEL_KINDS, ModelConfig, default_feature_spec
 from .tu import parse_tu_dataset
 
 
@@ -237,15 +244,28 @@ def parse_grid(text: str) -> list[int]:
     return values
 
 
-def _train_config(resolved: dict, dataset: Dataset) -> TrainConfig:
+def _train_config(resolved: dict, dataset: Dataset, kinds, trained_folds=None) -> TrainConfig:
     """The run's TrainConfig; training options the subcommand does not read
-    keep TrainConfig's defaults."""
+    keep TrainConfig's defaults. ``kinds`` are the model kinds the run trains
+    on ``trained_folds`` (None: every fold)."""
     named_alike = {key: resolved[key] for key in ("epochs", "lr", "folds", "seed", "jobs")
                    if key in resolved}
     config = TrainConfig(batch_size=resolved["batch"], **named_alike)
     if config.folds > len(dataset):
         raise UsageError(f"--folds {config.folds} is above the {len(dataset)} graphs "
                          f"of {dataset.name}: some fold would have no test graph")
+    normalizing = [kind for kind in kinds if kind in BATCH_NORM_KINDS]
+    if normalizing:
+        with warnings.catch_warnings():  # the run itself warns about a thin class
+            warnings.simplefilter("ignore")
+            plan = stratified_kfold(dataset, config.folds, config.seed)
+        num_nodes = np.array([g.graph.num_nodes for g in dataset.graphs])
+        for fold in range(config.folds) if trained_folds is None else trained_folds:
+            rows = int(num_nodes[plan.train_indices(fold)].sum())
+            if rows < 2:
+                raise UsageError(f"fold {fold} trains on {rows} node row(s), but batch norm in "
+                                 f"{normalizing[0]} needs at least 2: use more graphs or fewer "
+                                 "folds")
     return config
 
 
@@ -256,7 +276,7 @@ def _model_config(resolved: dict, num_classes: int) -> ModelConfig:
 
 def cmd_cv(resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
-    train_config = _train_config(resolved, dataset)
+    train_config = _train_config(resolved, dataset, [model_config.kind])
 
     def work(run_dir: Path):
         report = run_cv(dataset, model_config, train_config)
@@ -286,7 +306,7 @@ def cmd_benchmark(resolved: dict, dataset: Dataset):
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise UsageError(f"unknown model kind {kind!r} in --models")
-    train_config = _train_config(resolved, dataset)
+    train_config = _train_config(resolved, dataset, kinds, trained_folds=[0])  # it times fold 0
     warmup = resolved["warmup"]
     if not 0 <= warmup < train_config.epochs:
         raise UsageError(f"--warmup must be >= 0 and below --epochs ({train_config.epochs})")
@@ -306,7 +326,7 @@ def cmd_benchmark(resolved: dict, dataset: Dataset):
 
 def cmd_ablate(resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
-    train_config = _train_config(resolved, dataset)
+    train_config = _train_config(resolved, dataset, [model_config.kind])
     axis = resolved["axis"]
     depth_values = None
     if axis == "depth":

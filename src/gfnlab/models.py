@@ -29,6 +29,8 @@ from .sparse import CSRMatrix, spmm
 MODEL_KINDS = ("gcn", "gfn", "gfn-light", "gln")
 # the kinds that stack ``num_conv_layers`` hidden transforms after the first
 CONV_STACK_KINDS = ("gcn", "gfn")
+# the kinds with node blocks, whose batch norm needs two node rows per train batch
+BATCH_NORM_KINDS = ("gcn", "gfn", "gfn-light")
 
 
 def default_feature_spec(kind: str) -> FeatureSpec:
@@ -112,13 +114,13 @@ class ModelInstance:
         # hidden transforms on it, which differ only in whether they aggregate
         hidden = GraphConv if config.needs_adjacency else Affine
         depth = config.num_conv_layers if config.kind in CONV_STACK_KINDS else 0
-        widths = [] if config.kind == "gln" else [input_dim] + [h] * depth
+        widths = [input_dim] + [h] * depth if config.kind in BATCH_NORM_KINDS else []
         self.node_blocks = [
             ((hidden if i else Affine)(width, h, rng, name=f"node{i}"),
              BatchNorm(h, name=f"node{i}.bn"), ReLU())
             for i, width in enumerate(widths)
         ]
-        if config.kind == "gln":  # pooling straight over the input features
+        if not self.node_blocks:  # gln pools straight over the input features
             self.head = [Affine(input_dim, c, rng, name="head0")]
         else:
             self.head = [Affine(h, h, rng, name="head0"), ReLU(), Affine(h, c, rng, name="head1")]
@@ -149,14 +151,19 @@ class ModelInstance:
         return x
 
     def backward(self, grad_logits: np.ndarray) -> None:
+        """Accumulate every parameter's gradient. The bottom trainable layer
+        (node0, or head0 for gln) computes no input gradient: nothing reads it."""
         g = grad_logits
-        for layer in reversed(self.head):
+        for layer in reversed(self.head[1:]):
             g = layer.backward(g)
-        g = segment_sum_backward(g, self._seg)
-        for transform, bn, act in reversed(self.node_blocks):
-            g = act.backward(g)
-            g = bn.backward(g)
-            g = transform.backward(g)
+        if not self.node_blocks:
+            self.head[0].backward(g, input_grad=False)
+            return
+        g = segment_sum_backward(self.head[0].backward(g), self._seg)
+        node0, *above = [layer for block in self.node_blocks for layer in block]
+        for layer in reversed(above):
+            g = layer.backward(g)
+        node0.backward(g, input_grad=False)
 
 
 def collapse_linear_gcn(conv_weights: list[np.ndarray], adj: CSRMatrix, X: np.ndarray) -> np.ndarray:

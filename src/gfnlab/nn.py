@@ -2,7 +2,11 @@
 
 Layers cache whatever their backward pass needs during forward. Training
 normally runs in float32; gradient checks rebuild the same layers in float64
-and compare against central finite differences.
+and compare against central finite differences. Layers write into temporaries
+they made themselves, never into an input, except where ``ReLU.backward``
+says so; each in-place form keeps the operations and operand order of the
+textbook expression it evaluates, so its results equal that expression's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class Parameter:
 class ParameterSet:
     """Ordered, name-addressed parameters whose values and gradients are
     views of the flat ``value`` and ``grad`` buffers, so Adam (state ``m``,
-    ``v``, ``step``) updates them all at once."""
+    ``v``, ``step``, and two ``scratch`` rows) updates them all at once."""
 
     def __init__(self, params):
         self._params: dict[str, Parameter] = {}
@@ -43,6 +47,7 @@ class ParameterSet:
         self.grad = np.concatenate([p.grad.ravel() for p in self])
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
+        self.scratch = np.empty((2, self.value.size), dtype=self.value.dtype)
         self.step = 0
         start = 0
         for p in self:
@@ -69,13 +74,15 @@ def adam_step(
     In place, with the roundings of ``value -= lr * m_hat / (sqrt(v_hat) + eps)``."""
     params.step += 1
     m, v, g = params.m, params.v, params.grad
+    denom, update = params.scratch
     m *= beta1
-    m += (1 - beta1) * g
+    m += np.multiply(1 - beta1, g, out=update)
     v *= beta2
-    v += (1 - beta2) * g**2
-    denom = np.sqrt(v / (1 - beta2**params.step))
+    np.square(g, out=denom)
+    v += np.multiply(1 - beta2, denom, out=denom)
+    np.sqrt(np.divide(v, 1 - beta2**params.step, out=denom), out=denom)
     denom += eps
-    update = m / (1 - beta1**params.step)
+    np.divide(m, 1 - beta1**params.step, out=update)
     update *= lr
     update /= denom
     params.value -= update
@@ -105,16 +112,26 @@ class Affine:
                 f"affine expects {self.weight.value.shape[0]} input columns, got {x.shape[1]}"
             )
         self._x = x
-        return x @ self.weight.value + self.bias.value
+        out = x @ self.weight.value
+        out += self.bias.value
+        return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the weight and bias gradients and return the input
+        gradient; with ``input_grad=False`` (a bottom layer, whose input needs
+        no gradient) return None and skip its matmul."""
         self.weight.grad += self._x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
+        return grad_out @ self.weight.value.T if input_grad else None
 
 
 class ReLU:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
+    """Elementwise max(0, x); the subgradient at exactly 0 is 0.
+
+    Forward keeps the mask only in train mode. Backward masks ``grad_out`` in
+    place and returns it, so the caller must own that array and not read it
+    again: in a model it is the gradient the layer above just made.
+    """
 
     def __init__(self):
         self._mask = None
@@ -123,11 +140,13 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._mask = x > 0
+        if train:
+            self._mask = x > 0
         return np.maximum(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._mask
+        grad_out *= self._mask
+        return grad_out
 
 
 class BatchNorm:
@@ -153,32 +172,44 @@ class BatchNorm:
         return [self.gamma, self.beta]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        # x is centred once; the squares buffer then holds the output
         if train:
             if x.shape[0] < 2:
                 raise ValueError("batch norm needs at least 2 rows in train mode")
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            x_hat = x - mean
+            out = np.square(x_hat)
+            var = out.sum(axis=0) / x.shape[0]  # the roundings of x.var(axis=0)
             self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
-            mean = self.running_mean
+            x_hat = out = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
         if train:
             self._cache = (x_hat, inv_std, x.shape[0])
-        return self.gamma.value * x_hat + self.beta.value
+        np.multiply(self.gamma.value, x_hat, out=out)
+        out += self.beta.value
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """inv_std / n * (n * g_hat - sum(g_hat) - x_hat * sum(g_hat * x_hat))
+        with g_hat = grad_out * gamma, in two temporaries."""
         if self._cache is None:
             raise RuntimeError("backward requires a preceding train-mode forward")
         x_hat, inv_std, n = self._cache
-        self.gamma.grad += (grad_out * x_hat).sum(axis=0)
+        out = np.multiply(grad_out, x_hat)
+        self.gamma.grad += out.sum(axis=0)
         self.beta.grad += grad_out.sum(axis=0)
         g_hat = grad_out * self.gamma.value
-        return inv_std / n * (
-            n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)
-        )
+        proj = np.multiply(g_hat, x_hat, out=out).sum(axis=0)
+        g_sum = g_hat.sum(axis=0)
+        np.multiply(n, g_hat, out=out)
+        out -= g_sum
+        out -= np.multiply(x_hat, proj, out=g_hat)
+        out *= inv_std / n
+        return out
 
 
 @dataclass

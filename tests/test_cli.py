@@ -272,6 +272,46 @@ def test_folds_above_graph_count_exit_two_before_any_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def _one_and_two_node_graphs(tmp_path, labels=("1", "2")):
+    """A one-node graph and a two-node graph. Each class has one graph, so with
+    two folds the one-node graph is the whole training split of one fold:
+    fold 1 with the default labels, fold 0 with them swapped."""
+    return write_tu_files(tmp_path / "tiny", "tiny", indicator=["1", "2", "2"],
+                          edges=["2 3", "3 2"], graph_labels=list(labels))
+
+
+SHORT_SPLIT_CASES = {
+    "cv-gfn": (["cv", "--model", "gfn"], ("1", "2"), 1),
+    "cv-gcn": (["cv", "--model", "gcn"], ("1", "2"), 1),
+    "cv-gfn-light": (["cv", "--model", "gfn-light"], ("1", "2"), 1),
+    "ablate": (["ablate", "--axis", "features"], ("1", "2"), 1),
+    "benchmark": (["benchmark", "--models", "gln,gfn-light"], ("2", "1"), 0),
+}
+
+
+@pytest.mark.parametrize("case", SHORT_SPLIT_CASES)
+def test_train_split_below_two_node_rows_exits_two_before_any_run_dir(tmp_path, capsys, case):
+    argv, labels, fold = SHORT_SPLIT_CASES[case]
+    out = tmp_path / "runs"
+    code = run(argv + ["--dataset", str(_one_and_two_node_graphs(tmp_path, labels)),
+                       "--epochs", "2", "--folds", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"usage error: fold {fold} trains on 1 node row" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--model", "gln"],                      # no batch norm
+    ["benchmark", "--models", "gln,gfn-light"],    # trains fold 0 only, which has 2 rows
+], ids=["cv-gln", "benchmark-fold-0"])
+def test_split_below_two_node_rows_trains_where_nothing_normalizes_it(tmp_path, argv):
+    out = tmp_path / "runs"
+    assert run(argv + ["--dataset", str(_one_and_two_node_graphs(tmp_path)),
+                       "--epochs", "2", "--folds", "2", "--out", str(out)]) == 0
+    assert len(list(single_run_dir(out).glob("*.json"))) == 2  # manifest and the output
+
+
 class TestManifest:
     @pytest.mark.parametrize("subcommand", list(MANIFEST_CASES))
     def test_every_subcommand_writes_the_same_manifest(self, tmp_path, subcommand):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_grad
+from gfnlab import models
 from gfnlab.features import FeatureSpec, augment
 from gfnlab.graphs import Graph, normalized_adjacency
 from gfnlab.models import (
@@ -11,7 +12,7 @@ from gfnlab.models import (
     collapse_linear_gcn,
     make_batch,
 )
-from gfnlab.nn import softmax_cross_entropy
+from gfnlab.nn import Affine, segment_sum_backward, softmax_cross_entropy
 from gfnlab.sparse import spmm
 
 
@@ -278,3 +279,75 @@ class TestForward:
         batch = make_batch([np.ones((2, 3), dtype=np.float32)], np.array([0]))
         with pytest.raises(ValueError, match="feature columns"):
             model.forward(batch, train=False)
+
+
+KINDS = ["gcn", "gfn", "gfn-light", "gln"]
+
+
+def _train_pass(kind, seed=8):
+    """A model of ``kind``, a five-graph batch, and the loss gradient of one
+    train-mode forward over it."""
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(kind=kind, num_classes=3, hidden_dim=16)
+    feats, adjs = [], []
+    for _ in range(5):
+        _, f, a = random_attributed(rng, int(rng.integers(2, 7)), cfg.feature_spec, degree_cap=8)
+        feats.append(f)
+        adjs.append(a)
+    model = ModelInstance(cfg, feats[0].shape[1], seed=seed)
+    batch = make_batch(feats, np.array([0, 1, 2, 0, 1]), adjs if cfg.needs_adjacency else None)
+    _, grad = softmax_cross_entropy(model.forward(batch, train=True), batch.labels)
+    return model, batch, grad
+
+
+class TestBackward:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_step_leaves_the_batch_features_unchanged(self, kind):
+        model, batch, grad = _train_pass(kind)
+        before = batch.features.copy()
+        model.forward(batch, train=True)
+        model.backward(grad)
+        np.testing.assert_array_equal(batch.features, before)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bottom_layer_computes_no_input_gradient(self, kind, monkeypatch):
+        calls = []
+        original = Affine.backward
+
+        def spy(layer, grad_out, input_grad=True):
+            result = original(layer, grad_out, input_grad)
+            calls.append((layer.weight.name, result is None))
+            return result
+
+        monkeypatch.setattr(Affine, "backward", spy)
+        model, _, grad = _train_pass(kind)
+        model.backward(grad)
+        bottom = "head0.weight" if kind == "gln" else "node0.weight"
+        assert [name for name, skipped in calls if skipped] == [bottom]
+        assert calls[-1] == (bottom, True)
+
+    def test_gln_skips_the_pooling_backward(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("gln's pooled input needs no gradient")
+
+        monkeypatch.setattr(models, "segment_sum_backward", unused)
+        model, _, grad = _train_pass("gln")
+        model.backward(grad)
+        assert np.abs(model.params.grad).sum() > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameter_gradients_equal_the_full_chain(self, kind):
+        model, batch, grad = _train_pass(kind)
+        model.backward(grad)
+        skipped = model.params.grad.copy()
+        model.params.grad[...] = 0
+        # every layer returns its input gradient, the pooling one included
+        g = grad
+        for layer in reversed(model.head):
+            g = layer.backward(g)
+        g = segment_sum_backward(g, batch.seg)
+        for block in reversed(model.node_blocks):
+            for layer in reversed(block):
+                g = layer.backward(g)
+        assert g.shape == batch.features.shape
+        np.testing.assert_array_equal(model.params.grad, skipped)

@@ -336,6 +336,86 @@ class TestAdam:
             np.testing.assert_array_equal(p.value, s["value"])
 
 
+class TestExactBits:
+    """Each float32 layer equals, bit for bit, the textbook expression it
+    evaluates in reused temporaries. Reports stay byte-identical only while
+    these hold; a reordered operation shows here first."""
+
+    rng = np.random.default_rng(13)
+    x = (rng.standard_normal((97, 16)) * 3 + 1).astype(np.float32)
+    g = rng.standard_normal((97, 16)).astype(np.float32)
+
+    def test_affine(self):
+        layer = Affine(16, 8, np.random.default_rng(0))
+        layer.bias.value[...] = self.rng.standard_normal(8)
+        W, b = layer.weight.value, layer.bias.value
+        g = self.g[:, :8].copy()
+        np.testing.assert_array_equal(layer.forward(self.x), self.x @ W + b)
+        np.testing.assert_array_equal(layer.backward(g), g @ W.T)
+        np.testing.assert_array_equal(layer.weight.grad, self.x.T @ g)
+        np.testing.assert_array_equal(layer.bias.grad, g.sum(axis=0))
+        assert layer.backward(g, input_grad=False) is None
+        np.testing.assert_array_equal(layer.weight.grad, self.x.T @ g + self.x.T @ g)
+
+    def test_relu(self):
+        layer = ReLU()
+        np.testing.assert_array_equal(layer.forward(self.x), np.maximum(self.x, 0))
+        g = self.g.copy()
+        dx = layer.backward(g)
+        assert dx is g  # masked in place
+        np.testing.assert_array_equal(dx, self.g * (self.x > 0))
+        layer.forward(-self.x, train=False)  # eval keeps the train-mode mask
+        np.testing.assert_array_equal(layer.backward(self.g.copy()), self.g * (self.x > 0))
+
+    def test_batch_norm(self):
+        bn = BatchNorm(16)
+        bn.gamma.value[...] = self.rng.uniform(0.5, 1.5, 16)
+        bn.beta.value[...] = self.rng.standard_normal(16)
+        gamma, beta, eps, n = bn.gamma.value, bn.beta.value, bn.eps, self.x.shape[0]
+        running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
+        x, g = self.x.copy(), self.g.copy()
+        for batch in (x, 2 * x - 1):  # the second pass starts from nontrivial running stats
+            out = bn.forward(batch, train=True)
+            mean, var = batch.mean(axis=0), batch.var(axis=0)
+            inv_std = 1.0 / np.sqrt(var + eps)
+            x_hat = (batch - mean) * inv_std
+            np.testing.assert_array_equal(out, gamma * x_hat + beta)
+            running_mean = 0.9 * running_mean + 0.1 * mean
+            running_var = 0.9 * running_var + 0.1 * var
+            np.testing.assert_array_equal(bn.running_mean, running_mean)
+            np.testing.assert_array_equal(bn.running_var, running_var)
+        bn.gamma.grad[...] = 0
+        bn.beta.grad[...] = 0
+        dx = bn.backward(g)
+        g_hat = g * gamma
+        np.testing.assert_array_equal(
+            dx, inv_std / n * (n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)))
+        np.testing.assert_array_equal(bn.gamma.grad, (g * x_hat).sum(axis=0))
+        np.testing.assert_array_equal(bn.beta.grad, g.sum(axis=0))
+        eval_out = bn.forward(x, train=False)
+        eval_hat = (x - running_mean) * (1.0 / np.sqrt(running_var + eps))
+        np.testing.assert_array_equal(eval_out, gamma * eval_hat + beta)
+        np.testing.assert_array_equal(x, self.x)  # inputs are never written
+        np.testing.assert_array_equal(g, self.g)
+
+    def test_adam_steps(self):
+        value = self.x.ravel().copy()
+        p = Parameter("w", value.copy())
+        params = ParameterSet([p])
+        m, v = np.zeros_like(value), np.zeros_like(value)
+        for t in range(1, 5):
+            g = self.g.ravel() * np.float32(10.0 ** (2 - 3 * t))  # down to 1e-10
+            p.grad[...] = g
+            adam_step(params, lr=0.01)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g**2
+            value -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            np.testing.assert_array_equal(params.m, m)
+            np.testing.assert_array_equal(params.v, v)
+            np.testing.assert_array_equal(p.value, value)
+            assert value.dtype == np.float32
+
+
 class TestParameterSet:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
