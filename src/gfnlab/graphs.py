@@ -3,27 +3,15 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CSRMatrix, from_coo
+from .sparse import CSRMatrix, check_pattern, from_coo, stack_diagonal
 
 
 class DataError(Exception):
-    """Base class for dataset construction problems."""
-
-
-class ParseError(DataError):
-    """A required file is missing or cannot be read as the expected format."""
-
-
-class StructureError(DataError):
-    """Indices or shapes are inconsistent with the declared graph structure."""
-
-
-class ValidationError(DataError):
-    """Parsed data disagrees with the dataset's reference statistics."""
+    """Input data that cannot be read, or that does not form a valid dataset."""
 
 
 @dataclass
@@ -40,16 +28,10 @@ class Graph:
     indices: np.ndarray
 
     def __post_init__(self):
-        self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        if self.indptr.shape != (self.num_nodes + 1,):
-            raise StructureError("adjacency indptr length must be num_nodes + 1")
+        n = self.num_nodes
+        self.indptr, self.indices = check_pattern((n, n), self.indptr, self.indices)
         if self.indices.size % 2 != 0:
-            raise StructureError("undirected adjacency must store both edge directions")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.num_nodes):
-            raise StructureError("neighbor index out of range")
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
+            raise ValueError("undirected adjacency must store both edge directions")
 
     @property
     def edge_count(self) -> int:
@@ -67,9 +49,9 @@ class Graph:
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
-            raise StructureError("edges must be pairs of node indices")
+            raise DataError("edges must be pairs of node indices")
         if arr.size and (arr.min() < 0 or arr.max() >= num_nodes):
-            raise StructureError(
+            raise DataError(
                 f"edge endpoint out of range for graph with {num_nodes} nodes"
             )
         loops = arr[:, 0] == arr[:, 1]
@@ -78,15 +60,12 @@ class Graph:
             arr = arr[~loops]
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        und = np.unique(np.stack([lo, hi], axis=1), axis=0) if arr.size else arr
-        src = np.concatenate([und[:, 0], und[:, 1]])
-        dst = np.concatenate([und[:, 1], und[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(num_nodes, indptr, dst)
+        # deduplicate on one integer key per undirected edge
+        lo, hi = np.divmod(np.unique(lo * num_nodes + hi), num_nodes)
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        adj = from_coo((num_nodes, num_nodes), src, dst, np.ones(src.size, dtype=np.int8))
+        return cls(num_nodes, adj.indptr, adj.indices)
 
 
 @dataclass
@@ -100,9 +79,9 @@ class AttributedGraph:
     def __post_init__(self):
         self.node_features = np.ascontiguousarray(self.node_features, dtype=np.float64)
         if self.node_features.ndim != 2:
-            raise StructureError("node_features must be 2-D")
+            raise DataError("node_features must be 2-D")
         if self.node_features.shape[0] != self.graph.num_nodes:
-            raise StructureError(
+            raise DataError(
                 f"feature rows ({self.node_features.shape[0]}) != num_nodes "
                 f"({self.graph.num_nodes})"
             )
@@ -112,7 +91,7 @@ class AttributedGraph:
 
 @dataclass
 class DatasetMeta:
-    """Optional reference counts used to validate a parsed dataset."""
+    """Optional reference counts that a parsed dataset must match."""
 
     expected_graph_count: int | None = None
     expected_class_count: int | None = None
@@ -127,14 +106,13 @@ class Dataset:
     graphs: list[AttributedGraph]
     num_classes: int
     feature_dim: int
-    meta: DatasetMeta = field(default_factory=DatasetMeta)
 
     def __post_init__(self):
         for g in self.graphs:
             if g.node_features.shape[1] != self.feature_dim:
-                raise StructureError("all graphs must share feature_dim")
+                raise DataError("all graphs must share feature_dim")
             if not 0 <= g.label < self.num_classes:
-                raise StructureError(f"label {g.label} outside [0, {self.num_classes})")
+                raise DataError(f"label {g.label} outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -143,29 +121,12 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
 
-    def validate_meta(self) -> None:
-        """Check parsed counts against reference statistics; raise on mismatch."""
-        m = self.meta
-        if m.expected_graph_count is not None and len(self.graphs) != m.expected_graph_count:
-            raise ValidationError(
-                f"{self.name}: expected {m.expected_graph_count} graphs, parsed {len(self.graphs)}"
-            )
-        if m.expected_class_count is not None and self.num_classes != m.expected_class_count:
-            raise ValidationError(
-                f"{self.name}: expected {m.expected_class_count} classes, parsed {self.num_classes}"
-            )
-        if m.expected_feature_dim is not None and self.feature_dim != m.expected_feature_dim:
-            raise ValidationError(
-                f"{self.name}: expected feature_dim {m.expected_feature_dim}, parsed {self.feature_dim}"
-            )
-
 
 @dataclass
 class NormalizedAdjacency:
     """Symmetrically normalized adjacency with epsilon-weighted self-loops."""
 
     matrix: CSRMatrix
-    epsilon: float = 1.0
 
 
 def node_degrees(graph: Graph) -> np.ndarray:
@@ -189,16 +150,12 @@ def normalized_adjacency(graph: Graph, epsilon: float = 1.0) -> NormalizedAdjace
     rows = np.concatenate([src, np.arange(n)])
     cols = np.concatenate([dst, np.arange(n)])
     vals = np.concatenate([inv_sqrt[src] * inv_sqrt[dst], epsilon * inv_sqrt**2])
-    return NormalizedAdjacency(from_coo((n, n), rows, cols, vals), epsilon)
+    return NormalizedAdjacency(from_coo((n, n), rows, cols, vals))
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:
     """One graph with each input graph as a component, nodes numbered in input order."""
-    node_offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    edge_offsets = np.cumsum([0] + [g.indices.size for g in graphs])
-    indptr = np.concatenate([[0]] + [g.indptr[1:] + e for g, e in zip(graphs, edge_offsets)])
-    indices = np.concatenate([g.indices + n for g, n in zip(graphs, node_offsets)])
-    return Graph(int(node_offsets[-1]), indptr, indices)
+    return Graph(*stack_diagonal([(g.num_nodes, g.indptr, g.indices) for g in graphs]))
 
 
 def degree_one_hot(degrees: np.ndarray, max_bucket: int) -> np.ndarray:
@@ -215,8 +172,6 @@ def degree_one_hot(degrees: np.ndarray, max_bucket: int) -> np.ndarray:
 class FoldPlan:
     """Deterministic stratified fold assignment for cross-validation."""
 
-    k: int
-    seed: int
     assignments: np.ndarray
 
     def test_indices(self, fold: int) -> np.ndarray:
@@ -258,7 +213,7 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
             assignments[members[pos : pos + counts[f]]] = f
             pos += counts[f]
         fold_loads += counts
-    return FoldPlan(k=k, seed=seed, assignments=assignments)
+    return FoldPlan(assignments)
 
 
 def _cycle_edges(size: int) -> list[tuple[int, int]]:
@@ -289,9 +244,9 @@ def generate_synthetic_dataset(num_graphs: int, seed: int) -> Dataset:
     return Dataset(name="synthetic", graphs=graphs, num_classes=2, feature_dim=1)
 
 
-def generate_dense_synthetic(num_graphs: int, seed: int, edge_factor: int = 5) -> Dataset:
+def generate_dense_synthetic(num_graphs: int, seed: int) -> Dataset:
     """Edge-dense random corpus for timing runs: every graph has at least
-    ``edge_factor`` times more edges than nodes.
+    five times more edges than nodes.
 
     Class 1 graphs are drawn slightly denser than class 0 so the labels are
     weakly learnable, but the corpus exists for benchmarking, not accuracy.
@@ -303,7 +258,7 @@ def generate_dense_synthetic(num_graphs: int, seed: int, edge_factor: int = 5) -
     for i in range(num_graphs):
         n = int(rng.integers(24, 41))
         label = i % 2
-        target = (edge_factor + label) * n
+        target = (5 + label) * n
         iu, ju = np.triu_indices(n, k=1)
         target = min(target, iu.size)
         pick = rng.choice(iu.size, size=target, replace=False)

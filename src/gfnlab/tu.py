@@ -9,14 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (
-    AttributedGraph,
-    Dataset,
-    DatasetMeta,
-    Graph,
-    ParseError,
-    StructureError,
-)
+from .graphs import AttributedGraph, DataError, Dataset, DatasetMeta, Graph
 
 # Reference counts for the common benchmarks, keyed by directory name:
 # graphs, classes and feature columns, each enforced exactly after parsing.
@@ -42,17 +35,17 @@ def _read_numbers(path: Path, dtype) -> np.ndarray:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
     tokens = text.replace(",", " ").split()
     try:
         return np.array(tokens, dtype=dtype)
     except ValueError as exc:
-        raise ParseError(f"{path} contains non-numeric data: {exc}") from exc
+        raise DataError(f"{path} contains non-numeric data: {exc}") from exc
 
 
 def _require(path: Path) -> Path:
     if not path.is_file():
-        raise ParseError(f"missing required file: {path}")
+        raise DataError(f"missing required file: {path}")
     return path
 
 
@@ -69,8 +62,8 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     neither node file exists, every node gets a single all-ones feature.
     Graph labels are remapped to a contiguous 0-based range by sorted value.
 
-    ``meta`` defaults to the :data:`KNOWN_DATASETS` entry for ``name`` and is
-    validated against the parse result.
+    ``meta`` defaults to the :data:`KNOWN_DATASETS` entry for ``name``; each
+    count it gives must match the parse result.
     """
     directory = Path(directory)
     indicator = _read_numbers(_require(directory / f"{name}_graph_indicator.txt"), np.int64)
@@ -78,14 +71,14 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     graph_labels_raw = _read_numbers(_require(directory / f"{name}_graph_labels.txt"), np.int64)
 
     if edges.size % 2 != 0:
-        raise ParseError(f"{name}_A.txt must contain an even number of indices")
+        raise DataError(f"{name}_A.txt must contain an even number of indices")
     edges = edges.reshape(-1, 2) - 1  # to 0-based global node ids
     num_nodes_total = indicator.size
 
     graph_ids = np.unique(indicator)
     num_graphs = graph_ids.size
     if num_graphs != graph_labels_raw.size:
-        raise StructureError(
+        raise DataError(
             f"{name}: {num_graphs} graphs in indicator but "
             f"{graph_labels_raw.size} graph labels"
         )
@@ -98,9 +91,9 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     local_index[node_order] = np.arange(num_nodes_total) - np.repeat(starts[:-1], counts)
 
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes_total):
-        raise StructureError(f"{name}_A.txt references a node outside 1..{num_nodes_total}")
+        raise DataError(f"{name}_A.txt references a node outside 1..{num_nodes_total}")
     if edges.size and (node_graph[edges[:, 0]] != node_graph[edges[:, 1]]).any():
-        raise StructureError(f"{name}_A.txt contains an edge between two graphs")
+        raise DataError(f"{name}_A.txt contains an edge between two graphs")
 
     # Node feature blocks: one-hot labels first, then raw attributes.
     blocks = []
@@ -108,7 +101,7 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     if labels_path.is_file():
         node_labels = _read_numbers(labels_path, np.int64)
         if node_labels.size != num_nodes_total:
-            raise StructureError(
+            raise DataError(
                 f"{name}_node_labels.txt has {node_labels.size} entries "
                 f"for {num_nodes_total} nodes"
             )
@@ -120,7 +113,7 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     if attrs_path.is_file():
         flat = _read_numbers(attrs_path, np.float64)
         if flat.size % num_nodes_total != 0:
-            raise StructureError(
+            raise DataError(
                 f"{name}_node_attributes.txt does not divide into {num_nodes_total} rows"
             )
         blocks.append(flat.reshape(num_nodes_total, -1))
@@ -147,12 +140,12 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
 
     if meta is None:
         meta = KNOWN_DATASETS.get(name, DatasetMeta())
-    dataset = Dataset(
-        name=name,
-        graphs=graphs,
-        num_classes=int(classes.size),
-        feature_dim=int(features.shape[1]),
-        meta=meta,
-    )
-    dataset.validate_meta()
-    return dataset
+    num_classes, feature_dim = int(classes.size), int(features.shape[1])
+    for expected, parsed, what in (
+        (meta.expected_graph_count, num_graphs, "{} graphs"),
+        (meta.expected_class_count, num_classes, "{} classes"),
+        (meta.expected_feature_dim, feature_dim, "feature_dim {}"),
+    ):
+        if expected is not None and parsed != expected:
+            raise DataError(f"{name}: expected {what.format(expected)}, parsed {parsed}")
+    return Dataset(name, graphs, num_classes, feature_dim)

@@ -3,11 +3,9 @@ import pytest
 
 from gfnlab.graphs import (
     AttributedGraph,
+    DataError,
     Dataset,
-    DatasetMeta,
     Graph,
-    StructureError,
-    ValidationError,
     degree_one_hot,
     disjoint_union,
     generate_dense_synthetic,
@@ -26,13 +24,27 @@ class TestGraph:
         np.testing.assert_array_equal(g.indices[g.indptr[1] : g.indptr[2]], [0, 2])
         np.testing.assert_array_equal(g.indices[g.indptr[0] : g.indptr[1]], [1])
 
+    def test_from_edges_matches_sorted_neighbour_sets(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            edges = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            neighbours = [set() for _ in range(n)]
+            for u, v in edges.tolist():
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+            g = Graph.from_edges(n, edges)
+            np.testing.assert_array_equal(g.indptr, np.cumsum([0] + [len(s) for s in neighbours]))
+            np.testing.assert_array_equal(g.indices, [v for s in neighbours for v in sorted(s)])
+
     def test_self_loops_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="self-loop"):
             g = Graph.from_edges(2, [(0, 0), (0, 1)])
         assert g.edge_count == 1
 
     def test_endpoint_out_of_range(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(DataError):
             Graph.from_edges(2, [(0, 2)])
 
     def test_empty_graph(self):
@@ -43,6 +55,14 @@ class TestGraph:
     def test_degrees(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         np.testing.assert_array_equal(node_degrees(g), [3, 1, 1, 1])
+
+    @pytest.mark.parametrize("num_nodes, indptr, indices", [
+        (2, [0, 5, 9], [1, 0]),  # ends past the stored entries: degrees [5, 4] for one edge
+        (3, [0, 4, 2, 4], [1, 2, 0, 0]),  # decreases: node 1 would have degree -2
+    ])
+    def test_indptr_must_describe_the_stored_entries(self, num_nodes, indptr, indices):
+        with pytest.raises(ValueError, match="indptr must start at 0, never decrease"):
+            Graph(num_nodes, indptr, indices)
 
 
 class TestNormalizedAdjacency:
@@ -107,25 +127,18 @@ def test_degree_one_hot_clamps():
 class TestDataset:
     def test_label_range_enforced(self):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(StructureError):
+        with pytest.raises(DataError):
             Dataset("d", [AttributedGraph(g, np.ones((2, 1)), 5)], num_classes=2, feature_dim=1)
 
     def test_feature_dim_enforced(self):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(StructureError):
+        with pytest.raises(DataError):
             Dataset("d", [AttributedGraph(g, np.ones((2, 2)), 0)], num_classes=1, feature_dim=1)
 
     def test_feature_row_count_enforced(self):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(StructureError):
+        with pytest.raises(DataError):
             AttributedGraph(g, np.ones((3, 1)), 0)
-
-    def test_validate_meta(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        ds = Dataset("d", [AttributedGraph(g, np.ones((2, 1)), 0)], 1, 1,
-                     meta=DatasetMeta(expected_graph_count=2))
-        with pytest.raises(ValidationError, match="expected 2 graphs"):
-            ds.validate_meta()
 
 
 class TestStratifiedKFold:
@@ -207,7 +220,7 @@ class TestSyntheticCorpora:
             np.testing.assert_array_equal(ga.graph.indices, gb.graph.indices)
 
     def test_dense_corpus_edge_ratio(self):
-        ds = generate_dense_synthetic(20, seed=2, edge_factor=5)
+        ds = generate_dense_synthetic(20, seed=2)
         for g in ds.graphs:
             assert g.graph.edge_count >= 5 * g.graph.num_nodes
 

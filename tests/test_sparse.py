@@ -46,6 +46,10 @@ class TestCSRMatrix:
         with pytest.raises(ValueError):
             CSRMatrix((2, 2), np.array([0, 1, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
 
+    def test_indptr_must_not_decrease(self):
+        with pytest.raises(ValueError, match="indptr must start at 0, never decrease"):
+            CSRMatrix((3, 3), [0, 4, 2, 4], [1, 2, 0, 0], np.ones(4))
+
     def test_indptr_length_checked(self):
         with pytest.raises(ValueError):
             CSRMatrix((3, 3), np.array([0, 0]), np.array([], dtype=int), np.array([]))
@@ -169,6 +173,12 @@ class TestBlockDiag:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             block_diag([])
+
+    def test_non_square_block_rejected(self):
+        square = from_coo((2, 2), [0, 1], [1, 0], [1.0, 1.0])
+        wide = from_coo((2, 3), [0], [2], [1.0])
+        with pytest.raises(ValueError, match=r"square, got shape \(2, 3\)"):
+            block_diag([square, wide])
 
     def test_spmm_distributes_over_blocks(self):
         # multiplying the block matrix equals multiplying each block separately

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfnlab.graphs import DatasetMeta, ParseError, StructureError, ValidationError
+from gfnlab.graphs import DataError, DatasetMeta
 from gfnlab.tu import KNOWN_DATASETS, parse_tu_dataset
 
 from conftest import write_tu_files
@@ -89,52 +89,57 @@ def test_interleaved_graph_indicator(tmp_path):
 
 class TestParseErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError, match="missing required file"):
+        with pytest.raises(DataError, match="missing required file"):
             parse_tu_dataset(tmp_path, "nope")
 
     def test_non_numeric_data(self, tmp_path):
         d = write_tu_files(tmp_path / "bad", "bad", ["1", "x"], ["1 2"], ["1"])
-        with pytest.raises(ParseError, match="non-numeric"):
+        with pytest.raises(DataError, match="non-numeric"):
             parse_tu_dataset(d, "bad")
 
     def test_odd_edge_index_count(self, tmp_path):
         d = write_tu_files(tmp_path / "odd", "odd", ["1", "1"], ["1 2 2"], ["1"])
-        with pytest.raises(ParseError, match="even number"):
+        with pytest.raises(DataError, match="even number"):
             parse_tu_dataset(d, "odd")
 
     def test_edge_outside_node_range(self, tmp_path):
         d = write_tu_files(tmp_path / "oob", "oob", ["1", "1"], ["1 9", "9 1"], ["1"])
-        with pytest.raises(StructureError, match="outside"):
+        with pytest.raises(DataError, match="outside"):
             parse_tu_dataset(d, "oob")
 
     def test_cross_graph_edge(self, tmp_path):
         d = write_tu_files(tmp_path / "cross", "cross",
                            ["1", "1", "2"], ["2 3", "3 2"], ["1", "2"])
-        with pytest.raises(StructureError, match="between two graphs"):
+        with pytest.raises(DataError, match="between two graphs"):
             parse_tu_dataset(d, "cross")
 
     def test_label_count_mismatch(self, tmp_path):
         d = write_tu_files(tmp_path / "lbl", "lbl",
                            ["1", "1", "2"], ["1 2", "2 1"], ["1"])
-        with pytest.raises(StructureError, match="graph labels"):
+        with pytest.raises(DataError, match="graph labels"):
             parse_tu_dataset(d, "lbl")
 
     def test_node_label_count_mismatch(self, tmp_path):
         d = write_tu_files(tmp_path / "nl", "nl", ["1", "1"], ["1 2", "2 1"], ["1"],
                            node_labels=["1"])
-        with pytest.raises(StructureError, match="node_labels"):
+        with pytest.raises(DataError, match="node_labels"):
             parse_tu_dataset(d, "nl")
 
     def test_attribute_rows_must_divide(self, tmp_path):
         d = write_tu_files(tmp_path / "at", "at", ["1", "1"], ["1 2", "2 1"], ["1"],
                            node_attributes=["0.5 0.5 0.5"])
-        with pytest.raises(StructureError, match="divide"):
+        with pytest.raises(DataError, match="divide"):
             parse_tu_dataset(d, "at")
 
-    def test_meta_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("meta, message", [
+        (DatasetMeta(expected_graph_count=50), "m: expected 50 graphs, parsed 1"),
+        (DatasetMeta(expected_class_count=2), "m: expected 2 classes, parsed 1"),
+        (DatasetMeta(expected_feature_dim=3), "m: expected feature_dim 3, parsed 1"),
+    ], ids=["graphs", "classes", "feature_dim"])
+    def test_meta_mismatch(self, tmp_path, meta, message):
         d = write_tu_files(tmp_path / "m", "m", ["1", "1"], ["1 2", "2 1"], ["1"])
-        with pytest.raises(ValidationError):
-            parse_tu_dataset(d, "m", meta=DatasetMeta(expected_graph_count=50))
+        with pytest.raises(DataError, match=f"^{message}$"):
+            parse_tu_dataset(d, "m", meta=meta)
 
 
 def test_known_dataset_registry_shapes():
