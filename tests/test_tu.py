@@ -131,12 +131,16 @@ class TestParseErrors:
         with pytest.raises(DataError, match="divide"):
             parse_tu_dataset(d, "at")
 
+    def test_meta_mismatch(self, tmp_path):
+        d = write_tu_files(tmp_path / "m", "m", ["1", "1"], ["1 2", "2 1"], ["1"])
+        with pytest.raises(DataError, match="^m: expected 50 graphs, parsed 1$"):
+            parse_tu_dataset(d, "m", meta=DatasetMeta(expected_graph_count=50))
+
     @pytest.mark.parametrize("meta, message", [
-        (DatasetMeta(expected_graph_count=50), "m: expected 50 graphs, parsed 1"),
         (DatasetMeta(expected_class_count=2), "m: expected 2 classes, parsed 1"),
         (DatasetMeta(expected_feature_dim=3), "m: expected feature_dim 3, parsed 1"),
-    ], ids=["graphs", "classes", "feature_dim"])
-    def test_meta_mismatch(self, tmp_path, meta, message):
+    ], ids=["classes", "feature_dim"])
+    def test_class_and_feature_count_mismatch(self, tmp_path, meta, message):
         d = write_tu_files(tmp_path / "m", "m", ["1", "1"], ["1 2", "2 1"], ["1"])
         with pytest.raises(DataError, match=f"^{message}$"):
             parse_tu_dataset(d, "m", meta=meta)
