@@ -85,11 +85,13 @@ OPTIONS = {
                    "layer counts for the depth axis: '1..5' or '1,2,3'", axes=("depth",)),
 }
 
-# Fixed construction seeds for the built-in corpora, independent of --seed so
-# the graphs themselves are stable across training seeds.
+# The built-in corpora: name -> (generator, graph count), built from a fixed
+# seed independent of --seed so the graphs are stable across training seeds.
 SYNTHETIC_SEED = 7
-SYNTHETIC_SIZE = 200
-SYNTHETIC_DENSE_SIZE = 64
+BUILTIN_CORPORA = {
+    "synthetic": (generate_synthetic_dataset, 200),
+    "synthetic-dense": (generate_dense_synthetic, 64),
+}
 
 # BLAS thread settings recorded in the manifest: float32 results, and so the
 # report bytes, can depend on them.
@@ -131,14 +133,13 @@ def make_run_dir(out_root: Path, label: str) -> Path:
 def resolve_dataset(name_or_path: str, data_root: str) -> Dataset:
     """Map a --dataset argument to a loaded dataset.
 
-    Accepted forms: the built-in names 'synthetic' and 'synthetic-dense', a
-    path to a benchmark directory, or a bare name looked up under the data
-    root (either <root>/<NAME>/<NAME>_A.txt or <root>/<NAME>/<NAME>/...).
+    Accepted forms: a name in BUILTIN_CORPORA, a path to a benchmark
+    directory, or a bare name looked up under the data root (either
+    <root>/<NAME>/<NAME>_A.txt or <root>/<NAME>/<NAME>/...).
     """
-    if name_or_path == "synthetic":
-        return generate_synthetic_dataset(SYNTHETIC_SIZE, seed=SYNTHETIC_SEED)
-    if name_or_path == "synthetic-dense":
-        return generate_dense_synthetic(SYNTHETIC_DENSE_SIZE, seed=SYNTHETIC_SEED)
+    if name_or_path in BUILTIN_CORPORA:
+        generate, num_graphs = BUILTIN_CORPORA[name_or_path]
+        return generate(num_graphs, seed=SYNTHETIC_SEED)
     direct = Path(name_or_path)
     candidates = []
     if direct.is_dir():
@@ -151,10 +152,10 @@ def resolve_dataset(name_or_path: str, data_root: str) -> Dataset:
         if (directory / f"{name}_A.txt").is_file():
             return parse_tu_dataset(directory, name)
     tried = ", ".join(str(d) for d, _ in candidates)
+    builtin = ", ".join(repr(name) for name in BUILTIN_CORPORA)
     raise DataError(
-        f"dataset {name_or_path!r} not found (tried: {tried}). Use 'synthetic', "
-        f"'synthetic-dense', a benchmark directory path, or place the files under "
-        f"{data_root}/<NAME>/"
+        f"dataset {name_or_path!r} not found (tried: {tried}). Use {builtin}, a benchmark "
+        f"directory path, or place the files under {data_root}/<NAME>/"
     )
 
 
@@ -214,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "features":
             p.add_argument("action", choices=["export"])
         p.add_argument("--dataset", required=True,
-                       help="dataset name under --data-root, a directory path, "
-                            "'synthetic', or 'synthetic-dense'")
+                       help="dataset name under --data-root, a directory path, or a "
+                            f"built-in corpus: {', '.join(BUILTIN_CORPORA)}")
         p.add_argument("--config", help="JSON file of option values, keyed as in a "
                                         "manifest's config")
         for key, opt in OPTIONS.items():
@@ -231,34 +232,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_grid(text: str) -> list[int]:
+    """Layer counts from '1..5' or '1,2,3'; ablation_cells judges them."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        values = list(range(int(lo_s), int(hi_s) + 1))
-    else:
-        values = [int(t) for t in text.split(",") if t.strip()]
-    if not values:
-        raise ValueError(f"grid {text!r} is empty")
-    if min(values) < 0:
-        raise ValueError(f"grid {text!r} has a negative layer count")
-    return values
+        return list(range(int(lo_s), int(hi_s) + 1))
+    return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _train_config(resolved: dict, dataset: Dataset, kinds, trained_folds=None) -> TrainConfig:
+def _train_config(resolved: dict, dataset: Dataset, models, trained_folds=None) -> TrainConfig:
     """The run's TrainConfig; training options the subcommand does not read
-    keep TrainConfig's defaults. ``kinds`` are the model kinds the run trains
-    on ``trained_folds`` (None: every fold)."""
+    keep TrainConfig's defaults. ``models`` are the model configs the run
+    trains on ``trained_folds`` (None: every fold)."""
     named_alike = {key: resolved[key] for key in ("epochs", "lr", "folds", "seed", "jobs")
                    if key in resolved}
     config = TrainConfig(batch_size=resolved["batch"], **named_alike)
-    if config.folds > len(dataset):
-        raise UsageError(f"--folds {config.folds} is above the {len(dataset)} graphs "
-                         f"of {dataset.name}: some fold would have no test graph")
-    normalizing = [kind for kind in kinds if kind in BATCH_NORM_KINDS]
+    with warnings.catch_warnings():  # the run itself warns about a thin class
+        warnings.simplefilter("ignore")
+        plan = stratified_kfold(dataset, config.folds, config.seed)  # refuses too many folds
+    normalizing = [model.kind for model in models if model.kind in BATCH_NORM_KINDS]
     if normalizing:
-        with warnings.catch_warnings():  # the run itself warns about a thin class
-            warnings.simplefilter("ignore")
-            plan = stratified_kfold(dataset, config.folds, config.seed)
         num_nodes = np.array([g.graph.num_nodes for g in dataset.graphs])
         for fold in range(config.folds) if trained_folds is None else trained_folds:
             rows = int(num_nodes[plan.train_indices(fold)].sum())
@@ -276,7 +269,7 @@ def _model_config(resolved: dict, num_classes: int) -> ModelConfig:
 
 def cmd_cv(resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
-    train_config = _train_config(resolved, dataset, [model_config.kind])
+    train_config = _train_config(resolved, dataset, [model_config])
 
     def work(run_dir: Path):
         report = run_cv(dataset, model_config, train_config)
@@ -303,10 +296,8 @@ def cmd_benchmark(resolved: dict, dataset: Dataset):
     kinds = [k.strip() for k in resolved["models"].split(",") if k.strip()]
     if len(kinds) < 2:
         raise UsageError("benchmark needs at least two model kinds to compare")
-    for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise UsageError(f"unknown model kind {kind!r} in --models")
-    train_config = _train_config(resolved, dataset, kinds, trained_folds=[0])  # it times fold 0
+    models = [ModelConfig(kind=kind, num_classes=dataset.num_classes) for kind in kinds]
+    train_config = _train_config(resolved, dataset, models, trained_folds=[0])  # it times fold 0
     warmup = resolved["warmup"]
     if not 0 <= warmup < train_config.epochs:
         raise UsageError(f"--warmup must be >= 0 and below --epochs ({train_config.epochs})")
@@ -326,18 +317,17 @@ def cmd_benchmark(resolved: dict, dataset: Dataset):
 
 def cmd_ablate(resolved: dict, dataset: Dataset):
     model_config = _model_config(resolved, dataset.num_classes)
-    train_config = _train_config(resolved, dataset, [model_config.kind])
+    train_config = _train_config(resolved, dataset, [model_config])
     axis = resolved["axis"]
     depth_values = None
     if axis == "depth":
         if not resolved["grid"]:
             raise UsageError("--axis depth requires --grid (e.g. 1..5)")
         depth_values = parse_grid(resolved["grid"])
-    ablation_cells(axis, model_config, depth_values)  # refuses a bad cell before the run dir
+    cells = ablation_cells(axis, model_config, depth_values)
 
     def work(run_dir: Path):
-        rows = ablation_sweep(dataset, axis, model_config, train_config,
-                              depth_values=depth_values)
+        rows = ablation_sweep(dataset, axis, cells, train_config)
         csv_path = run_dir / "ablation.csv"
         write_ablation_csv(rows, train_config, csv_path)
         return csv_path, [

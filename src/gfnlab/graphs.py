@@ -189,7 +189,8 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     assignment (some folds simply receive none of that class).
     """
     if not 2 <= k <= len(dataset):
-        raise ValueError(f"k must be at least 2 and at most the {len(dataset)} graphs")
+        raise ValueError(f"the fold count must be at least 2 and at most the {len(dataset)} graphs "
+                         f"of {dataset.name}, got {k}: more would leave some fold no test graph")
     labels = dataset.labels
     rng = np.random.default_rng(seed)
     assignments = np.full(len(dataset), -1, dtype=np.int64)

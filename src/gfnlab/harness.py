@@ -251,34 +251,24 @@ def run_cv(
     )
 
 
-def feature_ablation_cells():
-    """The eight input configurations swept in the feature ablation: raw
-    features always on, degrees on or off, propagation depth 0 to 3."""
-    cells = []
-    for use_degree in (False, True):
-        for K in (0, 1, 2, 3):
-            parts = []
-            if use_degree:
-                parts.append("d")
-            if K:
-                parts.append("a" + "".join(str(i) for i in range(1, K + 1)) + "x")
-            name = "+".join(parts) if parts else "none"
-            cells.append((name, FeatureSpec(use_degree=use_degree, K=K)))
-    return cells
-
-
 def ablation_cells(axis: str, model_config: ModelConfig, depth_values=None) -> list[tuple]:
     """The (value, model config) cells of a sweep, each one validated, so a
-    bad cell is refused before any cell trains."""
+    bad cell is refused before any cell trains. The features axis has eight:
+    raw features always on, degrees on or off, propagation depth 0 to 3."""
     if axis == "features":
-        return [
-            (name, replace(model_config, feature_spec=spec))
-            for name, spec in feature_ablation_cells()
-        ]
+        cells = []
+        for use_degree in (False, True):
+            for K in (0, 1, 2, 3):
+                parts = ["d"] if use_degree else []
+                if K:
+                    parts.append("a" + "".join(str(i) for i in range(1, K + 1)) + "x")
+                spec = FeatureSpec(use_degree=use_degree, K=K)
+                cells.append(("+".join(parts) or "none", replace(model_config, feature_spec=spec)))
+        return cells
     if axis != "depth":
         raise ValueError(f"unknown ablation axis {axis!r}")
     if not depth_values:
-        raise ValueError("depth axis needs at least one layer count")
+        raise ValueError("the depth grid is empty: it needs at least one layer count")
     if model_config.kind not in CONV_STACK_KINDS:
         raise ValueError(f"the depth axis sweeps the layers that {', '.join(CONV_STACK_KINDS)} "
                          f"stack; {model_config.kind} has none")
@@ -289,16 +279,14 @@ def ablation_cells(axis: str, model_config: ModelConfig, depth_values=None) -> l
 def ablation_sweep(
     dataset: Dataset,
     axis: str,
-    model_config: ModelConfig,
+    cells: list[tuple],
     train_config: TrainConfig,
-    depth_values=None,
-    cache_dir: Path | str | None = None,
 ) -> list[dict]:
-    """Sweep either the feature configuration ('features') or the number of
-    per-node transform layers ('depth'); returns one result row per cell."""
+    """Cross-validate each (value, model config) cell that ``ablation_cells``
+    built for ``axis``; returns one result row per cell."""
     rows = []
-    for value, cfg in ablation_cells(axis, model_config, depth_values):
-        report = run_cv(dataset, cfg, train_config, cache_dir)
+    for value, cfg in cells:
+        report = run_cv(dataset, cfg, train_config)
         rows.append(
             {
                 "axis": axis,
@@ -316,7 +304,7 @@ def write_ablation_csv(rows: list[dict], train_config: TrainConfig, path: Path |
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={train_config.seed} epochs={train_config.epochs} folds={train_config.folds}\n")
-        writer = csv.DictWriter(fh, fieldnames=["axis", "value", "mean_acc", "std_acc", "best_epoch"])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -347,7 +335,6 @@ def benchmark_timing(
     kinds: list[str],
     train_config: TrainConfig,
     warmup: int = 1,
-    cache_dir: Path | str | None = None,
 ) -> TimingReport:
     """Time one training fold per model kind on identical fold splits.
 
@@ -359,17 +346,17 @@ def benchmark_timing(
         raise ValueError("warmup must be >= 0 and below epochs to measure anything")
     plan = stratified_kfold(dataset, train_config.folds, train_config.seed)
     train_idx, test_idx = plan.train_indices(0), plan.test_indices(0)
+    configs = [ModelConfig(kind=kind, num_classes=dataset.num_classes) for kind in kinds]
     entries = []
-    for kind in kinds:
-        cfg = ModelConfig(kind=kind, num_classes=dataset.num_classes)
-        prepared, feature_seconds = prepare_dataset(dataset, cfg, cache_dir)
+    for cfg in configs:
+        prepared, feature_seconds = prepare_dataset(dataset, cfg)
         trace = train_fold(
             prepared, cfg, train_config, 0, train_idx, test_idx, record_metrics=False
         )
         times = trace.epoch_seconds[warmup:]
         entries.append(
             TimingEntry(
-                model=kind,
+                model=cfg.kind,
                 feature_seconds=feature_seconds,
                 epoch_seconds=trace.epoch_seconds,
                 median_epoch_seconds=float(np.median(times)),

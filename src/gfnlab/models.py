@@ -106,7 +106,6 @@ class ModelInstance:
         if input_dim <= 0:
             raise ValueError("input_dim must be positive")
         self.config = config
-        self.input_dim = input_dim
         rng = np.random.default_rng(seed)
         h = config.hidden_dim
         c = config.num_classes
@@ -129,11 +128,7 @@ class ModelInstance:
         self._seg = None
 
     def forward(self, batch: BatchedGraphs, train: bool = True) -> np.ndarray:
-        if batch.features.shape[1] != self.input_dim:
-            raise ValueError(
-                f"batch has {batch.features.shape[1]} feature columns, "
-                f"model expects {self.input_dim}"
-            )
+        # node0 (head0 for gln) is an Affine, whose width check fires before any state changes
         if self.config.needs_adjacency and batch.adjacency is None:
             raise ValueError("this model requires the batched adjacency")
         x = batch.features
@@ -144,10 +139,10 @@ class ModelInstance:
                 x = transform.forward(x, train)
             x = bn.forward(x, train)
             x = act.forward(x, train)
-        self._seg = batch.seg
         x = segment_sum(x, batch.seg)
         for layer in self.head:
             x = layer.forward(x, train)
+        self._seg = batch.seg
         return x
 
     def backward(self, grad_logits: np.ndarray) -> None:

@@ -109,7 +109,7 @@ class Affine:
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.shape[1] != self.weight.value.shape[0]:
             raise ValueError(
-                f"affine expects {self.weight.value.shape[0]} input columns, got {x.shape[1]}"
+                f"affine expects {self.weight.value.shape[0]} feature columns, got {x.shape[1]}"
             )
         self._x = x
         out = x @ self.weight.value
@@ -221,7 +221,7 @@ class SegmentIndex:
 
     def __post_init__(self):
         self.offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        if self.offsets[0] != 0 or (np.diff(self.offsets) < 0).any():
+        if self.offsets[0] != 0 or (self.offsets[1:] < self.offsets[:-1]).any():
             raise ValueError("offsets must start at 0 and never decrease")
 
     @classmethod

@@ -43,6 +43,8 @@ class CSRMatrix:
 
     def __post_init__(self):
         self.indptr, self.indices = check_pattern(self.shape, self.indptr, self.indices)
+        if self.data.shape != self.indices.shape:
+            raise ValueError(f"data must hold one value per entry ({self.nnz}), got {self.data.shape}")
         self.data.setflags(write=False)
 
     @property

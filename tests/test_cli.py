@@ -169,10 +169,12 @@ class TestBenchmarkCommand:
         assert "at least two" in capsys.readouterr().err
 
     def test_unknown_model_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r"
         code = run(["benchmark", "--dataset", "synthetic", "--models", "gcn,magic",
-                    "--out", str(tmp_path / "r")])
+                    "--out", str(out)])
         assert code == 2
-        assert "unknown model kind" in capsys.readouterr().err
+        assert "usage error: unknown model kind 'magic'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblateCommand:
@@ -188,10 +190,14 @@ class TestAblateCommand:
         assert len(lines) == 4  # comment + header + 2 rows
 
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
-        code = run(["ablate", "--dataset", "synthetic", "--axis", "depth",
-                    "--grid", "5..1", "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert "empty" in capsys.readouterr().err
+        out = tmp_path / "r"
+        for grid in ("5..1", ","):
+            code = run(["ablate", "--dataset", "synthetic", "--axis", "depth",
+                        "--grid", grid, "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "usage error:" in err and "empty" in err
+        assert not out.exists()
 
     def test_negative_grid_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -264,11 +270,13 @@ def test_folds_above_graph_count_exit_two_before_any_run_dir(tmp_path, capsys):
                        edges=["1 2", "2 1", "3 4", "4 3", "5 6", "6 5"],
                        graph_labels=["1", "2", "1"])
     out = tmp_path / "runs"
-    code = run(["cv", "--dataset", str(d), "--model", "gln", "--epochs", "1",
-                "--folds", "4", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "usage error:" in err and "Traceback" not in err
+    for model in ("gln", "gcn"):
+        code = run(["cv", "--dataset", str(d), "--model", model, "--epochs", "1",
+                    "--folds", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage error:" in err and "Traceback" not in err
+        assert "at most the 3 graphs of three" in err and "no test graph" in err
     assert not out.exists()
 
 
@@ -307,8 +315,9 @@ def test_train_split_below_two_node_rows_exits_two_before_any_run_dir(tmp_path, 
 ], ids=["cv-gln", "benchmark-fold-0"])
 def test_split_below_two_node_rows_trains_where_nothing_normalizes_it(tmp_path, argv):
     out = tmp_path / "runs"
-    assert run(argv + ["--dataset", str(_one_and_two_node_graphs(tmp_path)),
-                       "--epochs", "2", "--folds", "2", "--out", str(out)]) == 0
+    with pytest.warns(UserWarning, match="fewer than k"):  # each class has one graph
+        assert run(argv + ["--dataset", str(_one_and_two_node_graphs(tmp_path)),
+                           "--epochs", "2", "--folds", "2", "--out", str(out)]) == 0
     assert len(list(single_run_dir(out).glob("*.json"))) == 2  # manifest and the output
 
 
@@ -380,11 +389,10 @@ class TestGridParser:
     def test_comma_form(self):
         assert parse_grid("1, 3,7") == [1, 3, 7]
 
-    def test_empty_forms_raise(self):
-        with pytest.raises(ValueError):
-            parse_grid("5..1")
-        with pytest.raises(ValueError):
-            parse_grid(",")
+    def test_empty_forms_parse_to_nothing(self):
+        # ablation_cells refuses an empty grid, and ModelConfig a negative count
+        assert parse_grid("5..1") == []
+        assert parse_grid(",") == []
 
 
 class TestDatasetResolution:

@@ -18,9 +18,9 @@ from gfnlab.harness import (
     TimingEntry,
     TimingReport,
     TrainConfig,
+    ablation_cells,
     ablation_sweep,
     benchmark_timing,
-    feature_ablation_cells,
     prepare_dataset,
     run_cv,
     select_best_epoch,
@@ -200,19 +200,20 @@ class TestRunCV:
 
 class TestAblation:
     def test_feature_cells_cover_the_grid(self):
-        cells = feature_ablation_cells()
+        cells = ablation_cells("features", ModelConfig(kind="gfn", num_classes=2))
         names = [name for name, _ in cells]
         assert len(cells) == 8
         assert names == ["none", "a1x", "a12x", "a123x", "d", "d+a1x", "d+a12x", "d+a123x"]
-        for name, spec in cells:
+        for name, cfg in cells:
+            spec = cfg.feature_spec
             assert "x_0" in spec.column_names(degree_cap=1, feature_dim=1)  # X always enters
             assert spec.use_degree == name.startswith("d")
 
     def test_depth_sweep_rows(self, tmp_path):
         ds = generate_synthetic_dataset(16, seed=9)
         cfg = ModelConfig(kind="gfn", num_classes=2, hidden_dim=8)
-        rows = ablation_sweep(ds, "depth", cfg, tiny_config(epochs=1),
-                              depth_values=[0, 1])
+        rows = ablation_sweep(ds, "depth", ablation_cells("depth", cfg, [0, 1]),
+                              tiny_config(epochs=1))
         assert [r["value"] for r in rows] == [0, 1]
         csv_path = tmp_path / "out.csv"
         write_ablation_csv(rows, tiny_config(epochs=1), csv_path)
@@ -222,12 +223,11 @@ class TestAblation:
         assert len(lines) == 4
 
     def test_unknown_axis_rejected(self):
-        ds = generate_synthetic_dataset(8, seed=9)
         cfg = ModelConfig(kind="gfn", num_classes=2)
         with pytest.raises(ValueError, match="axis"):
-            ablation_sweep(ds, "width", cfg, tiny_config())
-        with pytest.raises(ValueError, match="layer count"):
-            ablation_sweep(ds, "depth", cfg, tiny_config(), depth_values=[])
+            ablation_cells("width", cfg)
+        with pytest.raises(ValueError, match="empty: it needs at least one layer count"):
+            ablation_cells("depth", cfg, [])
 
     def test_negative_depth_rejected_before_any_cell_trains(self, monkeypatch):
         def train(*args, **kwargs):
@@ -237,7 +237,7 @@ class TestAblation:
         ds = generate_synthetic_dataset(8, seed=9)
         cfg = ModelConfig(kind="gfn", num_classes=2)
         with pytest.raises(ValueError, match="nonnegative"):
-            ablation_sweep(ds, "depth", cfg, tiny_config(), depth_values=[1, -1])
+            ablation_sweep(ds, "depth", ablation_cells("depth", cfg, [1, -1]), tiny_config())
 
 
 class TestBenchmark:
@@ -273,6 +273,15 @@ class TestBenchmark:
             benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=1), warmup=1)
         with pytest.raises(ValueError):
             benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=3), warmup=-1)
+
+    def test_unknown_kind_refused_before_any_kind_trains(self, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("a kind trained before every kind was validated")
+
+        monkeypatch.setattr(harness, "train_fold", train)
+        ds = generate_synthetic_dataset(8, seed=10)
+        with pytest.raises(ValueError, match="unknown model kind 'magic'"):
+            benchmark_timing(ds, ["gcn", "magic"], tiny_config(epochs=2), warmup=1)
 
     def test_deeper_stacks_cost_more_time(self):
         """Workload monotonicity: tripling the aggregating layers must not

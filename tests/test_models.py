@@ -274,11 +274,22 @@ class TestForward:
         with pytest.raises(ValueError, match="adjacency"):
             model.forward(batch, train=False)
 
-    def test_wrong_feature_width_rejected(self):
-        model = ModelInstance(ModelConfig(kind="gln", num_classes=2), 4, seed=0)
-        batch = make_batch([np.ones((2, 3), dtype=np.float32)], np.array([0]))
+    @pytest.mark.parametrize("kind", ["gcn", "gfn", "gfn-light", "gln"])
+    def test_wrong_feature_width_rejected(self, kind):
+        """The bottom layer refuses the batch before batch norm moves its
+        running statistics."""
+        cfg = ModelConfig(kind=kind, num_classes=2, hidden_dim=8)
+        model = ModelInstance(cfg, 4, seed=0)
+        adj = normalized_adjacency(Graph.from_edges(2, [(0, 1)])).matrix.astype(np.float32)
+        batch = make_batch([np.ones((2, 3), dtype=np.float32)], np.array([0]),
+                           [adj] if cfg.needs_adjacency else None)
+        norms = [bn for _, bn, _ in model.node_blocks]
+        before = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in norms]
         with pytest.raises(ValueError, match="feature columns"):
-            model.forward(batch, train=False)
+            model.forward(batch, train=True)
+        for bn, (mean, var) in zip(norms, before):
+            np.testing.assert_array_equal(bn.running_mean, mean)
+            np.testing.assert_array_equal(bn.running_var, var)
 
 
 KINDS = ["gcn", "gfn", "gfn-light", "gln"]

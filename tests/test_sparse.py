@@ -58,6 +58,12 @@ class TestCSRMatrix:
         with pytest.raises(ValueError):
             CSRMatrix((2, 2), np.array([0, 1, 2]), np.array([0, 5]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("data", [np.array([3.0, 4.0, 5.0]), np.array([[3.0, 4.0]])],
+                             ids=["extra-value", "2-d"])
+    def test_data_must_hold_one_value_per_entry(self, data):
+        with pytest.raises(ValueError, match="one value per entry"):
+            CSRMatrix((2, 2), [0, 1, 2], [0, 1], data)
+
     def test_arrays_are_read_only(self):
         m = from_coo((2, 2), [0], [0], [1.0])
         with pytest.raises(ValueError):
