@@ -234,10 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_grid(text: str) -> list[int]:
     """Layer counts from '1..5' or '1,2,3'; ablation_cells judges them."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        return list(range(int(lo_s), int(hi_s) + 1))
-    return [int(t) for t in text.split(",") if t.strip()]
+    try:
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            return list(range(int(lo_s), int(hi_s) + 1))
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise UsageError(
+            f"--grid takes a range like 1..5 or a list like 1,2,3, got {text!r}") from None
 
 
 def _train_config(resolved: dict, dataset: Dataset, models, trained_folds=None) -> TrainConfig:
@@ -296,6 +300,9 @@ def cmd_benchmark(resolved: dict, dataset: Dataset):
     kinds = [k.strip() for k in resolved["models"].split(",") if k.strip()]
     if len(kinds) < 2:
         raise UsageError("benchmark needs at least two model kinds to compare")
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise UsageError(f"--models lists {kind!r} more than once")
     models = [ModelConfig(kind=kind, num_classes=dataset.num_classes) for kind in kinds]
     train_config = _train_config(resolved, dataset, models, trained_folds=[0])  # it times fold 0
     warmup = resolved["warmup"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class CSRMatrix:
     def nnz(self) -> int:
         return int(self.indices.size)
 
+    @cached_property
+    def sweep(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The plan ``spmm`` follows, built on first use by ``plan_sweep`` and
+        kept with the matrix, which never changes."""
+        return plan_sweep(self)
+
     def astype(self, dtype) -> "CSRMatrix":
         return CSRMatrix(self.shape, self.indptr, self.indices, self.data.astype(dtype))
 
@@ -74,42 +81,51 @@ def from_coo(shape: tuple[int, int], rows, cols, vals) -> CSRMatrix:
     return CSRMatrix(shape, indptr, cols, vals)
 
 
+def plan_sweep(adj: CSRMatrix) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The jagged-diagonal sweep of ``adj``: rows ordered by entry count,
+    longest first (stable), so that the rows holding a ``k``-th entry are a
+    prefix of that order. Returns the inverse of that order and, for each pass
+    ``k``, the column indices and the values (as a column) of those entries.
+    """
+    lengths = np.diff(adj.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts = adj.indptr[:-1][order]
+    # rows_with[k]: how many rows have more than k entries
+    rows_with = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    passes = []
+    for k, count in enumerate(rows_with):
+        pos = starts[:count] + k
+        passes.append((adj.indices[pos], adj.data[pos, None]))
+    return np.argsort(order), passes
+
+
 def spmm(adj: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     """Sparse-dense product ``adj @ dense``.
 
     Each output row is the sum of its stored entries' products taken strictly
     left to right, so a row's result depends only on that row and is
-    reproducible bit for bit. The sweep follows the jagged-diagonal scheme:
-    rows ordered by entry count, longest first, so that the rows holding a
-    ``k``-th entry are a prefix of that order, and pass ``k`` adds those
-    entries into the prefix of a row-permuted accumulator. Temporaries stay
-    at ``[rows, width]``, however many entries there are.
+    reproducible bit for bit. The sweep follows ``adj.sweep``: pass ``k`` adds
+    the ``k``-th entries into the prefix of a row-permuted accumulator.
+    Temporaries stay at ``[rows, width]``, however many entries there are. The
+    plan is built on the first call and kept with the immutable matrix, at
+    about 16 bytes per stored entry plus 8 per row, so later calls only sweep it.
     """
     dense = np.asarray(dense)
     if dense.ndim != 2:
         raise ValueError(f"dense operand must be 2-D, got ndim={dense.ndim}")
     if adj.shape[1] != dense.shape[0]:
         raise ValueError(f"shape mismatch: {adj.shape} @ {dense.shape}")
-    dtype = np.result_type(adj.data.dtype, dense.dtype)
-    dense = dense.astype(dtype, copy=False)
-    data = adj.data.astype(dtype, copy=False)
-    lengths = np.diff(adj.indptr)
-    order = np.argsort(-lengths, kind="stable")
-    starts = adj.indptr[:-1][order]
-    # rows_with[k]: how many rows have more than k entries
-    rows_with = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
-    acc = np.zeros((adj.shape[0], dense.shape[1]), dtype=dtype)
-    for k, count in enumerate(rows_with):
-        pos = starts[:count] + k
-        term = dense[adj.indices[pos]]
-        term *= data[pos, None]
-        if k == 0:
-            acc[:count] = term  # start at the first entry: 0.0 + -0.0 would lose a sign
+    dense = dense.astype(np.result_type(adj.data.dtype, dense.dtype), copy=False)
+    inverse, passes = adj.sweep
+    acc = np.zeros((adj.shape[0], dense.shape[1]), dtype=dense.dtype)
+    for k, (cols, vals) in enumerate(passes):
+        if k == 0:  # start at the first entry: 0.0 + -0.0 would lose a sign
+            np.multiply(dense[cols], vals, out=acc[: cols.size])
         else:
-            acc[:count] += term
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
+            term = dense[cols]
+            term *= vals
+            acc[: cols.size] += term
+    return acc[inverse]
 
 
 def stack_diagonal(

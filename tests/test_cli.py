@@ -176,6 +176,14 @@ class TestBenchmarkCommand:
         assert "usage error: unknown model kind 'magic'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_model_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = run(["benchmark", "--dataset", "synthetic", "--models", "gcn,gln,gcn",
+                    "--out", str(out)])
+        assert code == 2
+        assert "usage error: --models lists 'gcn' more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def test_depth_grid(self, tmp_path):
@@ -205,6 +213,18 @@ class TestAblateCommand:
                     "--grid=-1..1", "--out", str(out)])
         assert code == 2
         assert "negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1..", "a,2"])
+    def test_malformed_grid_names_the_option(self, tmp_path, capsys, grid):
+        out = tmp_path / "r"
+        code = run(["ablate", "--dataset", "synthetic", "--axis", "depth",
+                    "--grid", grid, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"usage error: --grid takes a range like 1..5 or a list like 1,2,3, got '{grid}'"
+                in err)
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--k", "1"], ["--grid", "7"]])

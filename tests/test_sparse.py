@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from gfnlab import sparse
+from gfnlab.graphs import generate_dense_synthetic, normalized_adjacency
+from gfnlab.models import ModelConfig, ModelInstance, make_batch
 from gfnlab.sparse import CSRMatrix, block_diag, from_coo, spmm
 
 
@@ -22,6 +25,20 @@ def left_to_right(adj, x):
                 total = total + adj.data[j] * x[adj.indices[j]]
             out[i] = total
     return out
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def dense_batch(indices):
+    """A gcn batch of ``generate_dense_synthetic`` graphs, built as training builds it."""
+    dataset = generate_dense_synthetic(40, seed=41)
+    graphs = [dataset.graphs[i] for i in indices]
+    adjs = [normalized_adjacency(g.graph).matrix.astype(np.float32) for g in graphs]
+    feats = [g.node_features.astype(np.float32) for g in graphs]
+    return make_batch(feats, dataset.labels[indices], adjs)
 
 
 class TestCSRMatrix:
@@ -149,6 +166,46 @@ class TestSpmm:
         a = spmm(m.astype(np.float32), x)
         b = spmm(m.astype(np.float32), x)
         assert (a == b).all()
+
+
+class TestSweepPlan:
+    def test_one_plan_serves_every_operand(self):
+        # rows 0, 3 and 5 are empty; row 4's one entry is -0.0, a signed zero product
+        rows = [1, 1, 1, 2, 2, 4, 6, 6, 6, 6]
+        cols = [0, 2, 4, 1, 3, 0, 1, 2, 3, 4]
+        vals = [0.5, -1.25, 2.0, 1.5, 3.0, -0.0, 0.25, -0.75, 1.0, 4.0]
+        m = from_coo((7, 5), rows, cols, vals)
+        rng = np.random.default_rng(8)
+        strided = rng.standard_normal((5, 8))[:, 2:6]  # a column slice, as the precompute passes
+        for x in (rng.standard_normal((5, 3)), rng.standard_normal((5, 5)).astype(np.float32),
+                  np.ones((5, 0)), strided):
+            out = spmm(m, x)
+            assert_bitwise_equal(out, left_to_right(m, x))
+            np.testing.assert_array_equal(out[[0, 3, 5]], 0)
+
+    def test_gcn_batch_builds_its_plan_once(self, monkeypatch):
+        built = []
+
+        def counting(adj):
+            built.append(adj)
+            return plan_sweep(adj)
+
+        plan_sweep = sparse.plan_sweep
+        monkeypatch.setattr(sparse, "plan_sweep", counting)
+        train, evals = dense_batch([0, 1, 2, 3]), [dense_batch([4, 5]), dense_batch([6, 7, 8])]
+        model = ModelInstance(ModelConfig(kind="gcn", num_classes=2), train.features.shape[1])
+        logits = model.forward(train, train=True)
+        model.backward(np.ones_like(logits))  # three GraphConv forwards and three backwards
+        assert len(built) == 1 and built[0] is train.adjacency
+        for i, batch in enumerate(evals, start=2):
+            model.forward(batch, train=False)
+            assert len(built) == i and built[-1] is batch.adjacency
+
+    def test_dense_synthetic_batch_sums_left_to_right(self):
+        adj = dense_batch(np.arange(8)).adjacency
+        assert adj.data.dtype == np.float32
+        x = np.random.default_rng(6).standard_normal((adj.shape[0], 128)).astype(np.float32)
+        assert_bitwise_equal(spmm(adj, x), left_to_right(adj, x))
 
 
 class TestBlockDiag:
