@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``cv`` (cross-validated training), ``features export`` (write
-augmented feature CSVs), ``benchmark`` (per-epoch timing comparison), and
-``ablate`` (feature or depth sweeps). Every run creates a fresh directory
-under ``--out`` holding its outputs plus a ``manifest.json`` that snapshots
-the resolved configuration, so any number in any artifact can be re-derived.
+augmented feature CSVs) and ``ablate`` (feature, depth or model-kind sweeps,
+each cell's accuracy in ``ablation.csv`` and its precompute and median epoch
+seconds in ``timing.csv``). Every run creates a fresh directory under
+``--out`` holding its outputs plus a ``manifest.json`` that snapshots the
+resolved configuration, so any number in any artifact can be re-derived.
 
 Option precedence is CLI flag > ``--config`` JSON file > built-in default.
 The feature cache location honors the ``GFNLAB_CACHE`` environment variable.
@@ -33,10 +34,10 @@ from .graphs import (
     stratified_kfold,
 )
 from .harness import (
+    TIMING_FIELDS,
     TrainConfig,
     ablation_cells,
     ablation_sweep,
-    benchmark_timing,
     run_cv,
     write_ablation_csv,
 )
@@ -58,13 +59,13 @@ class Option:
     axes: tuple[str, ...] | None = None
 
 
-TRAINING = ("cv", "benchmark", "ablate")
-EVERY = ("cv", "features", "benchmark", "ablate")
+TRAINING = ("cv", "ablate")
+EVERY = ("cv", "features", "ablate")
 
 # The one declaration of every option: argparse flags, config-file keys and
 # the manifest's config all come from it.
 OPTIONS = {
-    "model": Option(str, "gfn", ("cv", "ablate"), choices=MODEL_KINDS),
+    "model": Option(str, "gfn", TRAINING, choices=MODEL_KINDS, axes=("features", "depth")),
     "folds": Option(int, TrainConfig.folds, TRAINING),
     "epochs": Option(int, TrainConfig.epochs, TRAINING),
     "batch": Option(int, TrainConfig.batch_size, TRAINING),
@@ -72,15 +73,13 @@ OPTIONS = {
     "k": Option(int, None, ("cv", "features", "ablate"),
                 "propagation depth; defaults to 3 (0 for gcn)", axes=("depth",)),
     "seed": Option(int, TrainConfig.seed, TRAINING),
-    "jobs": Option(int, TrainConfig.jobs, ("cv", "ablate"),
+    "jobs": Option(int, TrainConfig.jobs, TRAINING,
                    "fold-level worker processes (default 1, deterministic)"),
     "out": Option(str, "runs", EVERY, "output root directory"),
     "data_root": Option(str, "data", EVERY),
     "degree": Option(bool, True, ("features",), "omit the degree one-hot block"),
-    "models": Option(str, "gcn,gfn,gfn-light", ("benchmark",),
-                     "comma list of model kinds to time"),
-    "warmup": Option(int, 1, ("benchmark",), "epochs dropped before taking the median"),
-    "axis": Option(str, None, ("ablate",), "the swept axis (required)", ("features", "depth")),
+    "axis": Option(str, None, ("ablate",), "the swept axis (required)",
+                   ("features", "depth", "model")),
     "grid": Option(str, None, ("ablate",),
                    "layer counts for the depth axis: '1..5' or '1,2,3'", axes=("depth",)),
 }
@@ -244,12 +243,10 @@ def parse_grid(text: str) -> list[int]:
             f"--grid takes a range like 1..5 or a list like 1,2,3, got {text!r}") from None
 
 
-def _train_config(resolved: dict, dataset: Dataset, models, trained_folds=None) -> TrainConfig:
-    """The run's TrainConfig; training options the subcommand does not read
-    keep TrainConfig's defaults. ``models`` are the model configs the run
-    trains on ``trained_folds`` (None: every fold)."""
-    named_alike = {key: resolved[key] for key in ("epochs", "lr", "folds", "seed", "jobs")
-                   if key in resolved}
+def _train_config(resolved: dict, dataset: Dataset, models) -> TrainConfig:
+    """The run's TrainConfig. ``models`` are the model configs the run
+    trains on every fold."""
+    named_alike = {key: resolved[key] for key in ("epochs", "lr", "folds", "seed", "jobs")}
     config = TrainConfig(batch_size=resolved["batch"], **named_alike)
     with warnings.catch_warnings():  # the run itself warns about a thin class
         warnings.simplefilter("ignore")
@@ -257,7 +254,7 @@ def _train_config(resolved: dict, dataset: Dataset, models, trained_folds=None) 
     normalizing = [model.kind for model in models if model.kind in BATCH_NORM_KINDS]
     if normalizing:
         num_nodes = np.array([g.graph.num_nodes for g in dataset.graphs])
-        for fold in range(config.folds) if trained_folds is None else trained_folds:
+        for fold in range(config.folds):
             rows = int(num_nodes[plan.train_indices(fold)].sum())
             if rows < 2:
                 raise UsageError(f"fold {fold} trains on {rows} node row(s), but batch norm in "
@@ -268,7 +265,9 @@ def _train_config(resolved: dict, dataset: Dataset, models, trained_folds=None) 
 
 def _model_config(resolved: dict, num_classes: int) -> ModelConfig:
     spec = FeatureSpec(K=resolved["k"]) if "k" in resolved else None
-    return ModelConfig(kind=resolved["model"], num_classes=num_classes, feature_spec=spec)
+    # the model axis reads no --model: its cells set every kind
+    kind = resolved.get("model", MODEL_KINDS[0])
+    return ModelConfig(kind=kind, num_classes=num_classes, feature_spec=spec)
 
 
 def cmd_cv(resolved: dict, dataset: Dataset):
@@ -279,7 +278,7 @@ def cmd_cv(resolved: dict, dataset: Dataset):
         report = run_cv(dataset, model_config, train_config)
         report_path = run_dir / "report.json"
         report_path.write_text(report.to_json() + "\n")
-        return report_path, [report.summary()]
+        return [report_path], [report.summary()]
 
     return f"cv-{dataset.name}-{model_config.kind}", model_config.kind, work
 
@@ -291,66 +290,38 @@ def cmd_features(resolved: dict, dataset: Dataset):
         feats = precompute_dataset(dataset, spec)
         csv_dir = run_dir / "features"
         paths = export_csv(dataset, spec, feats, csv_dir)
-        return csv_dir, [f"wrote {len(paths)} feature files ({feats[0].shape[1]} columns each)"]
+        return [csv_dir], [f"wrote {len(paths)} feature files ({feats[0].shape[1]} columns each)"]
 
     return f"features-{dataset.name}", "", work
 
 
-def cmd_benchmark(resolved: dict, dataset: Dataset):
-    kinds = [k.strip() for k in resolved["models"].split(",") if k.strip()]
-    if len(kinds) < 2:
-        raise UsageError("benchmark needs at least two model kinds to compare")
-    for kind in kinds:
-        if kinds.count(kind) > 1:
-            raise UsageError(f"--models lists {kind!r} more than once")
-    models = [ModelConfig(kind=kind, num_classes=dataset.num_classes) for kind in kinds]
-    train_config = _train_config(resolved, dataset, models, trained_folds=[0])  # it times fold 0
-    warmup = resolved["warmup"]
-    if not 0 <= warmup < train_config.epochs:
-        raise UsageError(f"--warmup must be >= 0 and below --epochs ({train_config.epochs})")
-
-    def work(run_dir: Path):
-        report = benchmark_timing(dataset, kinds, train_config, warmup=warmup)
-        report_path = run_dir / "timing.json"
-        report_path.write_text(report.to_json() + "\n")
-        lines = [f"{'model':<12} {'epoch (s)':>12} {'speedup vs gcn':>16}"]
-        for entry in report.entries:
-            speed = f"{entry.speedup_vs_gcn:.2f}x" if entry.speedup_vs_gcn else "n/a"
-            lines.append(f"{entry.model:<12} {entry.median_epoch_seconds:>12.4f} {speed:>16}")
-        return report_path, lines
-
-    return f"benchmark-{dataset.name}", ",".join(kinds), work
-
-
 def cmd_ablate(resolved: dict, dataset: Dataset):
-    model_config = _model_config(resolved, dataset.num_classes)
-    train_config = _train_config(resolved, dataset, [model_config])
     axis = resolved["axis"]
     depth_values = None
     if axis == "depth":
         if not resolved["grid"]:
             raise UsageError("--axis depth requires --grid (e.g. 1..5)")
         depth_values = parse_grid(resolved["grid"])
-    cells = ablation_cells(axis, model_config, depth_values)
+    cells = ablation_cells(axis, _model_config(resolved, dataset.num_classes), depth_values)
+    train_config = _train_config(resolved, dataset, [cfg for _, cfg in cells])
 
     def work(run_dir: Path):
         rows = ablation_sweep(dataset, axis, cells, train_config)
-        csv_path = run_dir / "ablation.csv"
-        write_ablation_csv(rows, train_config, csv_path)
-        return csv_path, [
-            f"{row['value']}: {100 * row['mean_acc']:.2f} ± {100 * row['std_acc']:.2f}"
-            for row in rows
-        ]
+        ablation, timing = run_dir / "ablation.csv", run_dir / "timing.csv"
+        write_ablation_csv(rows, train_config, ablation)
+        write_ablation_csv(rows, train_config, timing, TIMING_FIELDS)
+        return [ablation, timing], [f"{row['value']}: {100 * row['mean_acc']:.2f} ± {100 * row['std_acc']:.2f}, "
+                       f"epoch {1e3 * row['epoch_s']:.1f} ms" for row in rows]
 
-    return f"ablate-{dataset.name}-{axis}", model_config.kind, work
+    kinds = dict.fromkeys(cfg.kind for _, cfg in cells)  # in cell order, each once
+    return f"ablate-{dataset.name}-{axis}", ",".join(kinds), work
 
 
 # subcommand -> (help, the function that validates its options and returns its work)
 COMMANDS = {
     "cv": ("k-fold cross-validated training", cmd_cv),
     "features": ("feature matrix export", cmd_features),
-    "benchmark": ("per-epoch training time comparison", cmd_benchmark),
-    "ablate": ("feature or depth sweep", cmd_ablate),
+    "ablate": ("feature, depth or model-kind sweep", cmd_ablate),
 }
 
 
@@ -365,7 +336,7 @@ def run_command(args: argparse.Namespace) -> int:
     Resolves the options and the dataset and hands them to the subcommand,
     which validates them (a rejected value is a usage error, raised before the
     run dir exists) and returns (run label, model, work). ``work(run_dir)``
-    writes the one output and returns its path and the lines to print. The
+    writes the outputs and returns their paths and the lines to print. The
     manifest says ``running`` while it works, then ``ok``, or ``failed`` with
     the error text before the error propagates.
     """
@@ -392,12 +363,13 @@ def run_command(args: argparse.Namespace) -> int:
     }
     _write_manifest(run_dir, manifest, status="running", error=None, finished=None, outputs=[])
     try:
-        output, lines = work(run_dir)
+        outputs, lines = work(run_dir)
     except BaseException as exc:
         _write_manifest(run_dir, manifest, status="failed", error=f"{type(exc).__name__}: {exc}",
                         finished=_now())
         raise
-    _write_manifest(run_dir, manifest, status="ok", finished=_now(), outputs=[str(output)])
+    _write_manifest(run_dir, manifest, status="ok", finished=_now(),
+                    outputs=[str(path) for path in outputs])
     print(f"run dir: {run_dir}")
     for line in lines:
         print(line)

@@ -108,6 +108,8 @@ class Dataset:
     feature_dim: int
 
     def __post_init__(self):
+        if not self.graphs:
+            raise DataError(f"dataset {self.name} holds no graphs")
         for g in self.graphs:
             if g.node_features.shape[1] != self.feature_dim:
                 raise DataError("all graphs must share feature_dim")

@@ -1,4 +1,4 @@
-"""Cross-validation training loop, ablation sweeps, and timing runs.
+"""Cross-validation training loop and ablation sweeps.
 
 Determinism contract: every random draw is routed through
 ``np.random.SeedSequence`` keyed on (seed, fold) for parameter init and
@@ -19,7 +19,8 @@ import numpy as np
 
 from .features import FeatureSpec, precompute_dataset
 from .graphs import Dataset, normalized_adjacency, stratified_kfold
-from .models import CONV_STACK_KINDS, BatchedGraphs, ModelConfig, ModelInstance, make_batch
+from .models import (CONV_STACK_KINDS, MODEL_KINDS, BatchedGraphs, ModelConfig, ModelInstance,
+                     make_batch)
 from .nn import adam_step, softmax_cross_entropy
 from .sparse import CSRMatrix
 
@@ -77,7 +78,7 @@ def prepare_dataset(
 class FoldTrace:
     """Per-epoch record for one fold. ``epoch_seconds`` is wall-clock data:
     ``CVReport.to_json`` leaves it out so reports are byte-stable across
-    reruns; timing reports keep it."""
+    reruns; an ablation's timing.csv reads it."""
 
     fold: int
     train_size: int
@@ -122,7 +123,6 @@ def train_fold(
     fold: int,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
-    record_metrics: bool = True,
 ) -> FoldTrace:
     """Train one fold. Train accuracy/loss come from the training passes
     themselves (no second sweep); test metrics are a separate eval-mode pass.
@@ -161,10 +161,9 @@ def train_fold(
             loss_sum += loss * idx.size
             correct += int((logits.argmax(axis=1) == batch.labels).sum())
         trace.epoch_seconds.append(time.perf_counter() - t0)
-        if record_metrics:
-            trace.train_acc.append(correct / train_idx.size)
-            trace.train_loss.append(loss_sum / train_idx.size)
-            trace.test_acc.append(evaluate(model, prepared, test_idx, train_config.batch_size))
+        trace.train_acc.append(correct / train_idx.size)
+        trace.train_loss.append(loss_sum / train_idx.size)
+        trace.test_acc.append(evaluate(model, prepared, test_idx, train_config.batch_size))
     return trace
 
 
@@ -179,9 +178,11 @@ class CVReport:
     std_acc: float
     per_fold_acc: list[float]
     folds: list[FoldTrace]
+    precompute_seconds: float  # wall-clock, left out of to_json like epoch_seconds
 
     def to_json(self) -> str:
         payload = asdict(self)
+        del payload["precompute_seconds"]
         for fold in payload["folds"]:
             del fold["epoch_seconds"]
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -223,7 +224,7 @@ def run_cv(
     cache_dir: Path | str | None = None,
 ) -> CVReport:
     """Stratified k-fold cross-validation of one model on one dataset."""
-    prepared, _ = prepare_dataset(dataset, model_config, cache_dir)
+    prepared, precompute_seconds = prepare_dataset(dataset, model_config, cache_dir)
     plan = stratified_kfold(dataset, train_config.folds, train_config.seed)
     tasks = [(f, plan.train_indices(f), plan.test_indices(f)) for f in range(train_config.folds)]
     if train_config.jobs > 1:
@@ -248,13 +249,15 @@ def run_cv(
         std_acc=std_acc,
         per_fold_acc=per_fold,
         folds=traces,
+        precompute_seconds=precompute_seconds,
     )
 
 
 def ablation_cells(axis: str, model_config: ModelConfig, depth_values=None) -> list[tuple]:
     """The (value, model config) cells of a sweep, each one validated, so a
     bad cell is refused before any cell trains. The features axis has eight:
-    raw features always on, degrees on or off, propagation depth 0 to 3."""
+    raw features always on, degrees on or off, propagation depth 0 to 3. The
+    model axis has one per kind, each at its own default feature spec."""
     if axis == "features":
         cells = []
         for use_degree in (False, True):
@@ -265,6 +268,8 @@ def ablation_cells(axis: str, model_config: ModelConfig, depth_values=None) -> l
                 spec = FeatureSpec(use_degree=use_degree, K=K)
                 cells.append(("+".join(parts) or "none", replace(model_config, feature_spec=spec)))
         return cells
+    if axis == "model":
+        return [(kind, replace(model_config, kind=kind, feature_spec=None)) for kind in MODEL_KINDS]
     if axis != "depth":
         raise ValueError(f"unknown ablation axis {axis!r}")
     if not depth_values:
@@ -283,7 +288,9 @@ def ablation_sweep(
     train_config: TrainConfig,
 ) -> list[dict]:
     """Cross-validate each (value, model config) cell that ``ablation_cells``
-    built for ``axis``; returns one result row per cell."""
+    built for ``axis``; returns one result row per cell, with its accuracy
+    (``ABLATION_FIELDS``) and its wall-clock seconds (``TIMING_FIELDS``):
+    the feature precompute, and the median epoch over every fold."""
     rows = []
     for value, cfg in cells:
         report = run_cv(dataset, cfg, train_config)
@@ -294,82 +301,25 @@ def ablation_sweep(
                 "mean_acc": report.mean_acc,
                 "std_acc": report.std_acc,
                 "best_epoch": report.best_epoch,
+                "precompute_s": report.precompute_seconds,
+                "epoch_s": float(np.median([t.epoch_seconds for t in report.folds])),
             }
         )
     return rows
 
 
-def write_ablation_csv(rows: list[dict], train_config: TrainConfig, path: Path | str) -> None:
+ABLATION_FIELDS = ("axis", "value", "mean_acc", "std_acc", "best_epoch")
+TIMING_FIELDS = ("value", "precompute_s", "epoch_s")
+
+
+def write_ablation_csv(rows: list[dict], train_config: TrainConfig, path: Path | str,
+                       fields=ABLATION_FIELDS) -> None:
+    """Write ``fields`` of each sweep row under a comment line with the seed,
+    epochs and folds."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={train_config.seed} epochs={train_config.epochs} folds={train_config.folds}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-
-
-@dataclass
-class TimingEntry:
-    model: str
-    feature_seconds: float
-    epoch_seconds: list[float]
-    median_epoch_seconds: float
-    speedup_vs_gcn: float | None = None
-
-
-@dataclass
-class TimingReport:
-    dataset: str
-    epochs: int
-    warmup: int
-    seed: int
-    entries: list[TimingEntry]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-def benchmark_timing(
-    dataset: Dataset,
-    kinds: list[str],
-    train_config: TrainConfig,
-    warmup: int = 1,
-) -> TimingReport:
-    """Time one training fold per model kind on identical fold splits.
-
-    The per-epoch figure is the median over post-warmup epochs; feature
-    precomputation is timed separately since it is a one-off cost. Speedups
-    are relative to the gcn entry when present.
-    """
-    if not 0 <= warmup < train_config.epochs:
-        raise ValueError("warmup must be >= 0 and below epochs to measure anything")
-    plan = stratified_kfold(dataset, train_config.folds, train_config.seed)
-    train_idx, test_idx = plan.train_indices(0), plan.test_indices(0)
-    configs = [ModelConfig(kind=kind, num_classes=dataset.num_classes) for kind in kinds]
-    entries = []
-    for cfg in configs:
-        prepared, feature_seconds = prepare_dataset(dataset, cfg)
-        trace = train_fold(
-            prepared, cfg, train_config, 0, train_idx, test_idx, record_metrics=False
-        )
-        times = trace.epoch_seconds[warmup:]
-        entries.append(
-            TimingEntry(
-                model=cfg.kind,
-                feature_seconds=feature_seconds,
-                epoch_seconds=trace.epoch_seconds,
-                median_epoch_seconds=float(np.median(times)),
-            )
-        )
-    base = next((e for e in entries if e.model == "gcn"), None)
-    if base is not None:
-        for e in entries:
-            e.speedup_vs_gcn = base.median_epoch_seconds / e.median_epoch_seconds
-    return TimingReport(
-        dataset=dataset.name,
-        epochs=train_config.epochs,
-        warmup=warmup,
-        seed=train_config.seed,
-        entries=entries,
-    )

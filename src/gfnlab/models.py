@@ -61,7 +61,7 @@ class ModelConfig:
         return self.kind == "gcn"
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: == compares identity
 class BatchedGraphs:
     """A mini-batch of graphs stacked into one block-diagonal problem.
 

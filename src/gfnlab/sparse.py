@@ -29,7 +29,7 @@ def check_pattern(shape: tuple[int, int], indptr, indices) -> tuple[np.ndarray, 
     return indptr, indices
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: == compares identity
 class CSRMatrix:
     """Immutable CSR matrix.
 

@@ -1,6 +1,9 @@
 import json
 import os
 import platform
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,21 +118,22 @@ BAD_OPTION_CASES = {
     "zero-epochs": (["cv", "--epochs", "0"], None),
     "one-fold": (["cv", "--folds", "1"], None),
     "non-numeric-config": (["cv"], {"epochs": "ten"}),
-    "epochs-not-above-warmup": (["benchmark", "--epochs", "1"], None),
-    "negative-warmup": (["benchmark", "--epochs", "3", "--warmup", "-1"], None),
     "negative-k": (["cv", "--k", "-1"], None),
     "fractional-config": (["cv"], {"epochs": 2.7, "folds": 2, "model": "gln"}),
     "boolean-config": (["cv"], {"epochs": True, "folds": 2, "model": "gln"}),
     "boolean-lr": (["cv"], {"lr": True, "epochs": 1, "folds": 2, "model": "gln"}),
     "string-lr": (["cv"], {"lr": "0.01", "epochs": 1, "folds": 2, "model": "gln"}),
     "unknown-config-key": (["cv"], {"epoch": 1}),
-    "option-of-another-subcommand": (["benchmark"], {"k": 1}),
+    "option-of-another-subcommand": (["features", "export"], {"epochs": 1}),
     "config-model-not-a-kind": (["cv"], {"model": "mlp"}),
     "nan-lr": (["cv", "--model", "gln", "--lr", "nan", "--epochs", "1", "--folds", "2"], None),
     "inf-lr": (["cv", "--model", "gln", "--lr", "inf", "--epochs", "1", "--folds", "2"], None),
     "ablate-without-axis": (["ablate"], None),
     "config-k-on-features-axis": (["ablate", "--axis", "features", "--epochs", "1", "--folds",
                                    "2"], {"k": 3}),
+    "model-on-model-axis": (["ablate", "--axis", "model", "--model", "gcn"], None),
+    "k-on-model-axis": (["ablate", "--axis", "model", "--k", "1"], None),
+    "grid-on-model-axis": (["ablate", "--axis", "model", "--grid", "1..2"], None),
 }
 
 
@@ -147,42 +151,6 @@ def test_bad_options_exit_two_before_any_run_dir(tmp_path, capsys, case):
     assert "usage error:" in err
     assert "Traceback" not in err
     assert not out.exists()
-
-
-class TestBenchmarkCommand:
-    def test_speedup_table(self, tmp_path, capsys):
-        out = tmp_path / "runs"
-        code = run(["benchmark", "--dataset", "synthetic", "--epochs", "3",
-                    "--folds", "2", "--models", "gcn,gfn-light", "--out", str(out)])
-        assert code == 0
-        timing = json.loads((single_run_dir(out) / "timing.json").read_text())
-        by_model = {e["model"]: e for e in timing["entries"]}
-        assert by_model["gcn"]["speedup_vs_gcn"] == 1.0
-        assert timing["seed"] == 0
-        printed = capsys.readouterr().out
-        assert "speedup vs gcn" in printed
-
-    def test_single_model_rejected(self, tmp_path, capsys):
-        code = run(["benchmark", "--dataset", "synthetic", "--models", "gcn",
-                    "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert "at least two" in capsys.readouterr().err
-
-    def test_unknown_model_rejected(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        code = run(["benchmark", "--dataset", "synthetic", "--models", "gcn,magic",
-                    "--out", str(out)])
-        assert code == 2
-        assert "usage error: unknown model kind 'magic'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_repeated_model_rejected(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        code = run(["benchmark", "--dataset", "synthetic", "--models", "gcn,gln,gcn",
-                    "--out", str(out)])
-        assert code == 2
-        assert "usage error: --models lists 'gcn' more than once" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestAblateCommand:
@@ -246,6 +214,23 @@ class TestAblateCommand:
         assert model in capsys.readouterr().err
         assert not out.exists()
 
+    def test_model_axis_trains_and_times_every_kind(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = run(["ablate", "--dataset", "synthetic", "--axis", "model", "--epochs", "2",
+                    "--folds", "2", "--out", str(out)])
+        assert code == 0
+        run_dir = single_run_dir(out)
+        ablation = (run_dir / "ablation.csv").read_text().splitlines()
+        timing = (run_dir / "timing.csv").read_text().splitlines()
+        assert ablation[1] == "axis,value,mean_acc,std_acc,best_epoch"
+        assert [line.split(",")[1] for line in ablation[2:]] == ["gcn", "gfn", "gfn-light", "gln"]
+        assert timing[0] == ablation[0] and timing[1] == "value,precompute_s,epoch_s"
+        assert [line.split(",")[0] for line in timing[2:]] == ["gcn", "gfn", "gfn-light", "gln"]
+        assert all(float(x) >= 0 for line in timing[2:] for x in line.split(",")[1:])
+        manifest = json.loads((run_dir / "manifest.json").read_text())  # the rest: MANIFEST_CASES
+        assert "model" not in manifest["config"] and "k" not in manifest["config"]
+        assert capsys.readouterr().out.count(" ms\n") == 4
+
     def test_depth_without_grid_is_usage_error(self, tmp_path, capsys):
         code = run(["ablate", "--dataset", "synthetic", "--axis", "depth",
                     "--out", str(tmp_path / "r")])
@@ -255,33 +240,72 @@ class TestAblateCommand:
 
 TRAIN_FLAGS = ["--epochs", "2", "--folds", "2", "--seed", "3"]
 
-# subcommand -> (its own flags, manifest command, manifest model, seeds, output name)
+ABLATE_OUTPUTS = ("ablation.csv", "timing.csv")
+# subcommand -> (its own flags, manifest command, manifest model, seeds, output names)
 MANIFEST_CASES = {
-    "cv": (["cv", "--model", "gln"] + TRAIN_FLAGS, "cv", "gln", [3], "report.json"),
-    "features": (["features", "export", "--k", "1"], "features export", "", [], "features"),
-    "benchmark": (["benchmark", "--models", "gcn,gln"] + TRAIN_FLAGS, "benchmark",
-                  "gcn,gln", [3], "timing.json"),
+    "cv": (["cv", "--model", "gln"] + TRAIN_FLAGS, "cv", "gln", [3], ("report.json",)),
+    "features": (["features", "export", "--k", "1"], "features export", "", [], ("features",)),
+    "ablate-model": (["ablate", "--axis", "model"] + TRAIN_FLAGS, "ablate",
+                     "gcn,gfn,gfn-light,gln", [3], ABLATE_OUTPUTS),
     "ablate": (["ablate", "--model", "gfn", "--axis", "depth", "--grid", "0"] + TRAIN_FLAGS,
-               "ablate", "gfn", [3], "ablation.csv"),
+               "ablate", "gfn", [3], ABLATE_OUTPUTS),
     "ablate-features": (["ablate", "--model", "gln", "--axis", "features"] + TRAIN_FLAGS,
-                        "ablate", "gln", [3], "ablation.csv"),
+                        "ablate", "gln", [3], ABLATE_OUTPUTS),
 }
 MANIFEST_KEYS = {"command", "dataset", "model", "config", "seeds", "env", "started",
                  "finished", "outputs", "status", "error"}
 
 
-def test_each_subcommand_has_only_the_flags_it_reads():
+def _subcommand_flags() -> dict[str, set[str]]:
     parser = build_parser()
     subparsers = next(a for a in parser._actions if a.choices and "cv" in a.choices).choices
-    flags = {name: {opt for action in p._actions for opt in action.option_strings}
-             - {"-h", "--help"} for name, p in subparsers.items()}
-    assert sum(len(f) for f in flags.values()) == 43
+    return {name: {opt for action in p._actions for opt in action.option_strings}
+            - {"-h", "--help"} for name, p in subparsers.items()}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    flags = _subcommand_flags()
+    assert sum(len(f) for f in flags.values()) == 32
     assert "--epochs" not in flags["features"] and "--lr" not in flags["features"]
-    assert "--k" not in flags["benchmark"] and "--jobs" not in flags["benchmark"]
-    for argv in (["features", "export", "--epochs", "3"], ["benchmark", "--k", "1"]):
+    assert "--axis" not in flags["cv"] and "--grid" not in flags["cv"]
+    for argv in (["features", "export", "--epochs", "3"], ["cv", "--axis", "model"],
+                 ["benchmark"]):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--dataset", "synthetic"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["features", "export"], ["cv"]], ids=["features", "cv"])
+def test_empty_dataset_exits_one_before_any_run_dir(tmp_path, capsys, argv):
+    d = write_tu_files(tmp_path / "empty", "empty", indicator=[], edges=[], graph_labels=[])
+    out = tmp_path / "runs"
+    code = run(argv + ["--dataset", str(d), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: dataset empty holds no graphs" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SHARED_FLAGS = {"--dataset", "--config", "--out", "--data-root"}  # named in the README's prose
+
+
+def test_readme_names_exactly_the_subcommands_and_flags_the_parser_builds():
+    """The README's subcommand table lists every subcommand with exactly the
+    flags it takes beyond the shared ones, every flag the README names in
+    backticks exists, and every ``gfnlab`` example line parses."""
+    text = README.read_text()
+    flags = _subcommand_flags()
+    rows = text.split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    table = {re.match(r"\| `(\w+)", row).group(1): set(re.findall(r"`(--[a-z-]+)", row))
+             for row in rows.splitlines()}
+    assert table == {name: names - SHARED_FLAGS for name, names in flags.items()}
+    assert all(SHARED_FLAGS <= names for names in flags.values())
+    assert set(re.findall(r"`(--[a-z-]+)", text)) <= set().union(*flags.values())
+    examples = re.findall(r"^gfnlab (.*)$", text, re.M)
+    assert {line.split()[0] for line in examples} == set(flags)
+    for line in examples:
+        build_parser().parse_args(shlex.split(line, comments=True))
 
 
 def test_folds_above_graph_count_exit_two_before_any_run_dir(tmp_path, capsys):
@@ -313,7 +337,7 @@ SHORT_SPLIT_CASES = {
     "cv-gcn": (["cv", "--model", "gcn"], ("1", "2"), 1),
     "cv-gfn-light": (["cv", "--model", "gfn-light"], ("1", "2"), 1),
     "ablate": (["ablate", "--axis", "features"], ("1", "2"), 1),
-    "benchmark": (["benchmark", "--models", "gln,gfn-light"], ("2", "1"), 0),
+    "ablate-model": (["ablate", "--axis", "model"], ("2", "1"), 0),
 }
 
 
@@ -331,8 +355,7 @@ def test_train_split_below_two_node_rows_exits_two_before_any_run_dir(tmp_path, 
 
 @pytest.mark.parametrize("argv", [
     ["cv", "--model", "gln"],                      # no batch norm
-    ["benchmark", "--models", "gln,gfn-light"],    # trains fold 0 only, which has 2 rows
-], ids=["cv-gln", "benchmark-fold-0"])
+], ids=["cv-gln"])
 def test_split_below_two_node_rows_trains_where_nothing_normalizes_it(tmp_path, argv):
     out = tmp_path / "runs"
     with pytest.warns(UserWarning, match="fewer than k"):  # each class has one graph
@@ -344,7 +367,7 @@ def test_split_below_two_node_rows_trains_where_nothing_normalizes_it(tmp_path, 
 class TestManifest:
     @pytest.mark.parametrize("subcommand", list(MANIFEST_CASES))
     def test_every_subcommand_writes_the_same_manifest(self, tmp_path, subcommand):
-        flags, command, model, seeds, output = MANIFEST_CASES[subcommand]
+        flags, command, model, seeds, outputs = MANIFEST_CASES[subcommand]
         out = tmp_path / "runs"
         code = run(flags + ["--dataset", "synthetic", "--out", str(out)])
         assert code == 0
@@ -361,8 +384,8 @@ class TestManifest:
         assert manifest["command"] == command
         assert manifest["model"] == model
         assert manifest["seeds"] == seeds
-        assert manifest["outputs"] == [str(run_dir / output)]
-        assert (run_dir / output).exists()
+        assert manifest["outputs"] == [str(run_dir / name) for name in outputs]
+        assert all((run_dir / name).exists() for name in outputs)
 
     @pytest.mark.parametrize("subcommand", list(MANIFEST_CASES))
     def test_config_replays(self, tmp_path, subcommand):

@@ -135,6 +135,10 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset("d", [AttributedGraph(g, np.ones((2, 2)), 0)], num_classes=1, feature_dim=1)
 
+    def test_empty_dataset_refused(self):
+        with pytest.raises(DataError, match="dataset d holds no graphs"):
+            Dataset("d", [], num_classes=2, feature_dim=1)
+
     def test_feature_row_count_enforced(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(DataError):

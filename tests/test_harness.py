@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -12,22 +11,21 @@ from gfnlab.graphs import (
     generate_synthetic_dataset,
 )
 from gfnlab import harness
+from gfnlab.features import FeatureSpec
 from gfnlab.harness import (
+    TIMING_FIELDS,
     CVReport,
     FoldTrace,
-    TimingEntry,
-    TimingReport,
     TrainConfig,
     ablation_cells,
     ablation_sweep,
-    benchmark_timing,
     prepare_dataset,
     run_cv,
     select_best_epoch,
     train_fold,
     write_ablation_csv,
 )
-from gfnlab.models import ModelConfig, make_batch
+from gfnlab.models import MODEL_KINDS, ModelConfig, default_feature_spec, make_batch
 
 
 def tiny_config(**kw):
@@ -98,16 +96,6 @@ class TestTrainFold:
         assert len(set(trace.test_acc)) == 1  # parameters never move
         assert len(trace.epoch_seconds) == 4
 
-    def test_metrics_can_be_skipped(self):
-        ds = generate_synthetic_dataset(16, seed=1)
-        cfg = ModelConfig(kind="gln", num_classes=2)
-        prepared, _ = prepare_dataset(ds, cfg)
-        idx = np.arange(16)
-        trace = train_fold(prepared, cfg, tiny_config(), 0, idx[:12], idx[12:],
-                           record_metrics=False)
-        assert trace.test_acc == [] and trace.train_acc == []
-        assert len(trace.epoch_seconds) == 2
-
     def test_one_row_tail_batch_joins_the_previous_batch(self, monkeypatch):
         """Ten single-node training graphs in batches of 9 leave a one-row
         tail, which batch norm cannot normalize in train mode."""
@@ -143,16 +131,33 @@ class TestTrainFold:
         assert sizes == ([2] * 5 + [1] * 10) * 2  # train batches, then eval batches per fold
 
     def test_trace_json_form_has_no_timings(self):
-        """Epoch wall times stay out of report.json at any depth but stay in
-        every timing.json entry."""
+        """Epoch and precompute wall times stay out of report.json at any
+        depth but stay on the report, for timing.csv."""
         trace = FoldTrace(0, 5, 5, test_acc=[0.5], epoch_seconds=[0.123])
-        report = CVReport("d", "gln", {}, {}, 0, 0.5, 0.0, [0.5], [trace, trace])
-        assert "epoch_seconds" not in report.to_json()
-        assert trace.epoch_seconds == [0.123]
-        timing = TimingReport("d", 2, 1, 0, [TimingEntry("gcn", 0.0, [0.3, 0.2], 0.2),
-                                             TimingEntry("gln", 0.0, [0.1, 0.1], 0.1)])
-        entries = json.loads(timing.to_json())["entries"]
-        assert [e["epoch_seconds"] for e in entries] == [[0.3, 0.2], [0.1, 0.1]]
+        report = CVReport("d", "gln", {}, {}, 0, 0.5, 0.0, [0.5], [trace, trace], 0.25)
+        text = report.to_json()
+        for word in ("epoch_seconds", "precompute", "feature_seconds"):
+            assert word not in text
+        assert trace.epoch_seconds == [0.123] and report.precompute_seconds == 0.25
+        ds = generate_synthetic_dataset(8, seed=1)
+        real = run_cv(ds, ModelConfig("gfn", 2, hidden_dim=8), tiny_config(epochs=1))
+        assert real.precompute_seconds > 0
+        assert "precompute" not in real.to_json() and "feature_seconds" not in real.to_json()
+
+    def test_deeper_stacks_cost_more_time(self):
+        """Workload monotonicity: tripling the aggregating layers must not
+        come for free. Uses the edge-dense corpus so compute dominates noise."""
+        ds = generate_dense_synthetic(32, seed=11)
+        shallow = ModelConfig(kind="gcn", num_classes=2, num_conv_layers=1)
+        deep = ModelConfig(kind="gcn", num_classes=2, num_conv_layers=3)
+        cfg = TrainConfig(epochs=5, batch_size=16, folds=2, seed=0)
+        medians = []
+        for model_cfg in (shallow, deep):
+            prepared, _ = prepare_dataset(ds, model_cfg)
+            idx = np.arange(len(ds))
+            trace = train_fold(prepared, model_cfg, cfg, 0, idx[:24], idx[24:])
+            medians.append(float(np.median(trace.epoch_seconds[1:])))
+        assert medians[1] > medians[0]
 
 
 class TestRunCV:
@@ -209,6 +214,27 @@ class TestAblation:
             assert "x_0" in spec.column_names(degree_cap=1, feature_dim=1)  # X always enters
             assert spec.use_degree == name.startswith("d")
 
+    def test_model_cells_give_each_kind_its_default_features(self):
+        base = ModelConfig(kind="gfn", num_classes=3, hidden_dim=8, feature_spec=FeatureSpec(K=1))
+        cells = ablation_cells("model", base)
+        assert [value for value, _ in cells] == list(MODEL_KINDS)
+        for value, cfg in cells:
+            assert cfg.kind == value and cfg.num_classes == 3 and cfg.hidden_dim == 8
+            assert cfg.feature_spec == default_feature_spec(value)
+
+    def test_model_sweep_times_every_cell(self, tmp_path):
+        ds = generate_synthetic_dataset(12, seed=9)
+        cells = ablation_cells("model", ModelConfig(kind="gln", num_classes=2, hidden_dim=8))
+        rows = ablation_sweep(ds, "model", cells, tiny_config(epochs=3))
+        assert [r["value"] for r in rows] == list(MODEL_KINDS)
+        assert all(r["precompute_s"] > 0 and r["epoch_s"] > 0 for r in rows)
+        csv_path = tmp_path / "timing.csv"
+        write_ablation_csv(rows, tiny_config(epochs=3), csv_path, TIMING_FIELDS)
+        lines = csv_path.read_text().splitlines()
+        assert lines[1] == "value,precompute_s,epoch_s"
+        assert lines[2] == f"gcn,{rows[0]['precompute_s']!r},{rows[0]['epoch_s']!r}"
+        assert len(lines) == 6
+
     def test_depth_sweep_rows(self, tmp_path):
         ds = generate_synthetic_dataset(16, seed=9)
         cfg = ModelConfig(kind="gfn", num_classes=2, hidden_dim=8)
@@ -238,63 +264,3 @@ class TestAblation:
         cfg = ModelConfig(kind="gfn", num_classes=2)
         with pytest.raises(ValueError, match="nonnegative"):
             ablation_sweep(ds, "depth", ablation_cells("depth", cfg, [1, -1]), tiny_config())
-
-
-class TestBenchmark:
-    def test_speedup_relative_to_gcn(self):
-        ds = generate_synthetic_dataset(24, seed=10)
-        report = benchmark_timing(ds, ["gcn", "gfn-light"],
-                                  tiny_config(epochs=3, folds=2), warmup=1)
-        by_model = {e.model: e for e in report.entries}
-        assert by_model["gcn"].speedup_vs_gcn == 1.0
-        assert by_model["gfn-light"].speedup_vs_gcn > 0
-        assert report.seed == 0
-
-    def test_no_gcn_entry_leaves_speedups_unset_without_a_warning(self):
-        ds = generate_synthetic_dataset(16, seed=10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = benchmark_timing(ds, ["gln", "gfn-light"], tiny_config(epochs=2, folds=2),
-                                      warmup=1)
-        assert [e.speedup_vs_gcn for e in report.entries] == [None, None]
-
-    def test_median_excludes_warmup(self):
-        ds = generate_synthetic_dataset(16, seed=10)
-        report = benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=4, folds=2),
-                                  warmup=2)
-        for e in report.entries:
-            assert len(e.epoch_seconds) == 4
-            assert e.median_epoch_seconds == pytest.approx(
-                float(np.median(e.epoch_seconds[2:])))
-
-    def test_needs_post_warmup_epochs(self):
-        ds = generate_synthetic_dataset(8, seed=10)
-        with pytest.raises(ValueError):
-            benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=1), warmup=1)
-        with pytest.raises(ValueError):
-            benchmark_timing(ds, ["gcn", "gln"], tiny_config(epochs=3), warmup=-1)
-
-    def test_unknown_kind_refused_before_any_kind_trains(self, monkeypatch):
-        def train(*args, **kwargs):
-            raise AssertionError("a kind trained before every kind was validated")
-
-        monkeypatch.setattr(harness, "train_fold", train)
-        ds = generate_synthetic_dataset(8, seed=10)
-        with pytest.raises(ValueError, match="unknown model kind 'magic'"):
-            benchmark_timing(ds, ["gcn", "magic"], tiny_config(epochs=2), warmup=1)
-
-    def test_deeper_stacks_cost_more_time(self):
-        """Workload monotonicity: tripling the aggregating layers must not
-        come for free. Uses the edge-dense corpus so compute dominates noise."""
-        ds = generate_dense_synthetic(32, seed=11)
-        shallow = ModelConfig(kind="gcn", num_classes=2, num_conv_layers=1)
-        deep = ModelConfig(kind="gcn", num_classes=2, num_conv_layers=3)
-        cfg = TrainConfig(epochs=5, batch_size=16, folds=2, seed=0)
-        medians = []
-        for model_cfg in (shallow, deep):
-            prepared, _ = prepare_dataset(ds, model_cfg)
-            idx = np.arange(len(ds))
-            trace = train_fold(prepared, model_cfg, cfg, 0, idx[:24], idx[24:],
-                               record_metrics=False)
-            medians.append(float(np.median(trace.epoch_seconds[1:])))
-        assert medians[1] > medians[0]

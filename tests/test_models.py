@@ -207,6 +207,13 @@ class TestForward:
         model.forward(batch, train=True)
         model.backward(grad)  # smoke: gradients flow end to end
 
+    def test_batch_equality_is_identity(self):
+        feats = [np.ones((2, 3), np.float32), np.ones((3, 3), np.float32)]
+        a = make_batch(feats, np.array([0, 1]))
+        b = make_batch(feats[::-1], np.array([1, 0]))
+        assert a == a and a != b  # == compares identity and never raises
+        assert [b, a].index(a) == 1
+
     @pytest.mark.parametrize("kind", ["gcn", "gfn", "gfn-light", "gln"])
     def test_batch_composition_does_not_change_eval_outputs(self, kind):
         rng = np.random.default_rng(5)

@@ -49,6 +49,12 @@ class TestCSRMatrix:
         np.testing.assert_array_equal(m.to_dense(), expected)
         assert m.nnz == 3
 
+    def test_equality_is_identity(self):
+        a = from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
+        b = from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
+        assert a == a and a != b  # equal arrays, but == compares identity and never raises
+        assert [b, a].index(a) == 1
+
     def test_rows_are_column_sorted(self):
         m = from_coo((2, 5), [0, 0, 0], [4, 1, 2], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(m.indices, [1, 2, 4])
