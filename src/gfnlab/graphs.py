@@ -60,8 +60,13 @@ class Graph:
             arr = arr[~loops]
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        # deduplicate on one integer key per undirected edge
-        lo, hi = np.divmod(np.unique(lo * num_nodes + hi), num_nodes)
+        # Deduplicate on one integer key per undirected edge. A sort and a
+        # neighbour comparison, because np.unique may hash instead (numpy 2.3+),
+        # which is many times slower on these keys.
+        keys = np.sort(lo * num_nodes + hi)
+        keep = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        lo, hi = np.divmod(keys[keep], num_nodes)
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         adj = from_coo((num_nodes, num_nodes), src, dst, np.ones(src.size, dtype=np.int8))

@@ -4,7 +4,6 @@ optional per-node labels and continuous attributes)."""
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +57,10 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     ``{name}_node_attributes.txt``. File indices are 1-based.
 
     Node categorical labels are one-hot encoded over the values seen in the
-    whole dataset and concatenated before any raw continuous attributes. If
-    neither node file exists, every node gets a single all-ones feature.
-    Graph labels are remapped to a contiguous 0-based range by sorted value.
+    whole dataset and concatenated before any raw continuous attributes, which
+    must be finite. If neither node file exists, every node gets a single
+    all-ones feature. Graph labels are remapped to a contiguous 0-based range
+    by sorted value.
 
     ``meta`` defaults to the :data:`KNOWN_DATASETS` entry for ``name``; each
     count it gives must match the parse result.
@@ -75,21 +75,13 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     edges = edges.reshape(-1, 2) - 1  # to 0-based global node ids
     num_nodes_total = indicator.size
 
-    graph_ids = np.unique(indicator)
+    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
     num_graphs = graph_ids.size
     if num_graphs != graph_labels_raw.size:
         raise DataError(
             f"{name}: {num_graphs} graphs in indicator but "
             f"{graph_labels_raw.size} graph labels"
         )
-    # Map each global node to (graph, local index), in order of appearance.
-    node_graph = np.searchsorted(graph_ids, indicator)
-    counts = np.bincount(node_graph, minlength=num_graphs)
-    node_order = np.argsort(node_graph, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    local_index = np.empty(num_nodes_total, dtype=np.int64)
-    local_index[node_order] = np.arange(num_nodes_total) - np.repeat(starts[:-1], counts)
-
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes_total):
         raise DataError(f"{name}_A.txt references a node outside 1..{num_nodes_total}")
     if edges.size and (node_graph[edges[:, 0]] != node_graph[edges[:, 1]]).any():
@@ -105,38 +97,38 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
                 f"{name}_node_labels.txt has {node_labels.size} entries "
                 f"for {num_nodes_total} nodes"
             )
-        values = np.unique(node_labels)
+        values, label_index = np.unique(node_labels, return_inverse=True)
         onehot = np.zeros((num_nodes_total, values.size), dtype=np.float64)
-        onehot[np.arange(num_nodes_total), np.searchsorted(values, node_labels)] = 1.0
+        onehot[np.arange(num_nodes_total), label_index] = 1.0
         blocks.append(onehot)
     attrs_path = directory / f"{name}_node_attributes.txt"
-    if attrs_path.is_file():
+    if attrs_path.is_file() and num_nodes_total:
         flat = _read_numbers(attrs_path, np.float64)
         if flat.size % num_nodes_total != 0:
             raise DataError(
                 f"{name}_node_attributes.txt does not divide into {num_nodes_total} rows"
             )
+        if not np.isfinite(flat).all():
+            raise DataError(f"{name}_node_attributes.txt contains a non-finite value")
         blocks.append(flat.reshape(num_nodes_total, -1))
     features = np.concatenate(blocks, axis=1) if blocks else np.ones((num_nodes_total, 1))
 
     # Remap arbitrary integer graph labels to contiguous 0-based classes.
-    classes = np.unique(graph_labels_raw)
-    y = np.searchsorted(classes, graph_labels_raw)
+    classes, y = np.unique(graph_labels_raw, return_inverse=True)
 
-    # Group edges and feature rows by graph with one stable sort each.
-    edge_graph = node_graph[edges[:, 0]] if edges.size else np.zeros(0, dtype=np.int64)
-    edge_order = np.argsort(edge_graph, kind="stable")
-    local_edges = np.stack(
-        [local_index[edges[edge_order, 0]], local_index[edges[edge_order, 1]]], axis=1
-    ) if edges.size else edges
-    edge_starts = np.searchsorted(edge_graph[edge_order], np.arange(num_graphs + 1))
-
+    # Renumber nodes graph by graph (file order within a graph), build one
+    # graph over the whole file, and cut each graph out of its row range.
+    node_order = np.argsort(node_graph, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(node_graph, minlength=num_graphs))])
+    position = np.empty(num_nodes_total, dtype=np.int64)
+    position[node_order] = np.arange(num_nodes_total)
+    whole = Graph.from_edges(num_nodes_total, position[edges])
     graphs = []
     for g in range(num_graphs):
-        n = int(counts[g])
-        graph = Graph.from_edges(n, local_edges[edge_starts[g] : edge_starts[g + 1]])
-        rows = node_order[starts[g] : starts[g + 1]]
-        graphs.append(AttributedGraph(graph, features[rows], int(y[g])))
+        lo, hi = int(starts[g]), int(starts[g + 1])
+        a, b = whole.indptr[lo], whole.indptr[hi]
+        graph = Graph(hi - lo, whole.indptr[lo : hi + 1] - a, whole.indices[a:b] - lo)
+        graphs.append(AttributedGraph(graph, features[node_order[lo:hi]], int(y[g])))
 
     if meta is None:
         meta = KNOWN_DATASETS.get(name, DatasetMeta())

@@ -275,15 +275,41 @@ def test_each_subcommand_has_only_the_flags_it_reads():
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [["features", "export"], ["cv"]], ids=["features", "cv"])
-def test_empty_dataset_exits_one_before_any_run_dir(tmp_path, capsys, argv):
-    d = write_tu_files(tmp_path / "empty", "empty", indicator=[], edges=[], graph_labels=[])
+EMPTY_DATASET_CASES = {
+    f"{name}{suffix}": (argv, node_files)
+    for name, argv in (("features", ["features", "export"]), ("cv", ["cv"]))
+    for suffix, node_files in (("", {}), ("-node-labels", {"node_labels": []}),
+                               ("-node-attributes", {"node_attributes": []}))
+}
+
+
+@pytest.mark.parametrize("argv, node_files", EMPTY_DATASET_CASES.values(),
+                         ids=EMPTY_DATASET_CASES.keys())
+def test_empty_dataset_exits_one_before_any_run_dir(tmp_path, capsys, argv, node_files):
+    d = write_tu_files(tmp_path / "empty", "empty", indicator=[], edges=[], graph_labels=[],
+                       **node_files)
     out = tmp_path / "runs"
     code = run(argv + ["--dataset", str(d), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert "error: dataset empty holds no graphs" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_attribute_exits_one_before_any_run_dir(tmp_path, capsys, value):
+    indicator = [str(1 + i // 2) for i in range(8)]
+    attributes = ["0.5"] * 7 + [value]
+    d = write_tu_files(tmp_path / "nf", "nf", indicator=indicator,
+                       edges=[f"{u} {u + 1}" for u in range(1, 9, 2)],
+                       graph_labels=["1", "2", "1", "2"], node_attributes=attributes)
+    out = tmp_path / "runs"
+    code = run(["cv", "--dataset", str(d), "--model", "gfn", "--epochs", "2", "--folds", "2",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: nf_node_attributes.txt contains a non-finite value" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -306,6 +332,15 @@ def test_readme_names_exactly_the_subcommands_and_flags_the_parser_builds():
     assert {line.split()[0] for line in examples} == set(flags)
     for line in examples:
         build_parser().parse_args(shlex.split(line, comments=True))
+
+
+def test_readme_layout_names_exactly_the_modules():
+    """The README's Layout table has one row per module of the package."""
+    rows = README.read_text().split("| module | what it does |\n| --- | --- |\n", 1)[1]
+    table = re.findall(r"^\| `gfnlab\.(\w+)` \|", rows.split("\n\n", 1)[0], re.M)
+    package = README.parent / "src" / "gfnlab"
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    assert sorted(table) == sorted(modules)
 
 
 def test_folds_above_graph_count_exit_two_before_any_run_dir(tmp_path, capsys):

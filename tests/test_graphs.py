@@ -52,6 +52,15 @@ class TestGraph:
         assert g.edge_count == 0
         np.testing.assert_array_equal(node_degrees(g), [0, 0, 0, 0])
 
+    def test_from_edges_empty_and_all_duplicate_lists(self):
+        for n in (0, 1, 4):
+            g = Graph.from_edges(n, np.empty((0, 2), dtype=np.int64))
+            np.testing.assert_array_equal(g.indptr, np.zeros(n + 1))
+            assert g.indices.size == 0
+        g = Graph.from_edges(3, [(2, 0)] * 5 + [(0, 2)] * 4)
+        np.testing.assert_array_equal(g.indptr, [0, 1, 1, 2])
+        np.testing.assert_array_equal(g.indices, [2, 0])
+
     def test_degrees(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         np.testing.assert_array_equal(node_degrees(g), [3, 1, 1, 1])

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ class TestPrepare:
         ds = generate_synthetic_dataset(8, seed=0)
         _, seconds = prepare_dataset(ds, ModelConfig(kind="gfn", num_classes=2))
         assert seconds >= 0
+
+    def test_timing_covers_the_adjacencies(self, monkeypatch):
+        real = harness.normalized_adjacency
+
+        def slow(graph, epsilon=1.0):
+            time.sleep(0.01)
+            return real(graph, epsilon)
+
+        monkeypatch.setattr(harness, "normalized_adjacency", slow)
+        ds = generate_synthetic_dataset(8, seed=0)
+        _, seconds = prepare_dataset(ds, ModelConfig(kind="gcn", num_classes=2))
+        assert seconds >= 8 * 0.01
 
 
 class TestEpochSelection:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfnlab.graphs import DataError, DatasetMeta
+from gfnlab.graphs import DataError, DatasetMeta, Graph
 from gfnlab.tu import KNOWN_DATASETS, parse_tu_dataset
 
 from conftest import write_tu_files
@@ -87,6 +87,81 @@ def test_interleaved_graph_indicator(tmp_path):
     np.testing.assert_array_equal(ds.graphs[1].node_features, [[0, 1, 0]])
 
 
+def _random_tu_files(rng, directory):
+    """A random TU layout with an interleaved indicator, non-contiguous graph
+    ids, isolated nodes, graphs without edges and edges listed once, twice,
+    reversed or repeated, in shuffled order. Returns the directory and, per
+    graph in id order, its global node ids (file order), its local edge list
+    and its raw label, and the raw node labels."""
+    num_graphs = int(rng.integers(1, 7))
+    ids = np.sort(rng.choice(np.arange(1, 40), num_graphs, replace=False))
+    indicator = rng.permutation(np.repeat(ids, rng.integers(1, 9, num_graphs)))
+    node_labels = rng.integers(0, 5, indicator.size)
+    graph_labels = rng.integers(-2, 3, num_graphs)
+    lines, graphs = [], []
+    for gid, label in zip(ids, graph_labels):
+        nodes = np.flatnonzero(indicator == gid)
+        pairs = rng.integers(0, nodes.size, (int(rng.integers(0, 2 * nodes.size)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        graphs.append((nodes, pairs, label))
+        for u, v in nodes[pairs] + 1:
+            lines += [[f"{u} {v}"], [f"{v} {u}"], [f"{u} {v}", f"{v} {u}"],
+                      [f"{u} {v}"] * 3][int(rng.integers(4))]
+    d = write_tu_files(directory, "rnd", indicator=[str(i) for i in indicator],
+                       edges=[lines[i] for i in rng.permutation(len(lines))],
+                       graph_labels=[str(x) for x in graph_labels],
+                       node_labels=[str(x) for x in node_labels])
+    return d, graphs, node_labels
+
+
+def test_each_graph_equals_from_edges_on_its_own_local_edges(tmp_path):
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        d, graphs, node_labels = _random_tu_files(rng, tmp_path / str(trial))
+        ds = parse_tu_dataset(d, "rnd")
+        onehot = node_labels[:, None] == np.unique(node_labels)
+        classes = np.unique([label for _, _, label in graphs])
+        assert len(ds) == len(graphs)
+        for parsed, (nodes, edges, label) in zip(ds.graphs, graphs):
+            expected = Graph.from_edges(nodes.size, edges)
+            assert parsed.graph.num_nodes == nodes.size
+            np.testing.assert_array_equal(parsed.graph.indptr, expected.indptr)
+            np.testing.assert_array_equal(parsed.graph.indices, expected.indices)
+            np.testing.assert_array_equal(parsed.node_features, onehot[nodes])
+            assert parsed.label == np.searchsorted(classes, label)
+
+
+def test_self_loops_warn_once_per_file_with_the_total(tmp_path):
+    d = write_tu_files(tmp_path / "loops", "loops",
+                       indicator=["1", "2", "1", "2", "2"],
+                       edges=["1 3", "1 1", "3 3", "2 4", "5 5", "4 5"],
+                       graph_labels=["1", "2"])
+    clean = write_tu_files(tmp_path / "clean", "loops",
+                           indicator=["1", "2", "1", "2", "2"],
+                           edges=["1 3", "2 4", "4 5"],
+                           graph_labels=["1", "2"])
+    with pytest.warns(UserWarning) as record:
+        ds = parse_tu_dataset(d, "loops")
+    assert [str(w.message) for w in record] == ["dropping 3 self-loop(s)"]
+    for parsed, expected in zip(ds.graphs, parse_tu_dataset(clean, "loops").graphs):
+        np.testing.assert_array_equal(parsed.graph.indptr, expected.graph.indptr)
+        np.testing.assert_array_equal(parsed.graph.indices, expected.graph.indices)
+
+
+def test_one_from_edges_call_per_file(tmp_path, monkeypatch):
+    calls = []
+    build = Graph.from_edges.__func__
+
+    def counting(cls, num_nodes, edges):
+        calls.append(num_nodes)
+        return build(cls, num_nodes, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+    d, graphs, node_labels = _random_tu_files(np.random.default_rng(3), tmp_path / "one")
+    ds = parse_tu_dataset(d, "rnd")
+    assert len(ds) == len(graphs) and calls == [node_labels.size]
+
+
 class TestParseErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing required file"):
@@ -130,6 +205,13 @@ class TestParseErrors:
                            node_attributes=["0.5 0.5 0.5"])
         with pytest.raises(DataError, match="divide"):
             parse_tu_dataset(d, "at")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_attribute(self, tmp_path, value):
+        d = write_tu_files(tmp_path / "nf", "nf", ["1", "1"], ["1 2", "2 1"], ["1"],
+                           node_attributes=["0.5, 1.5", f"2.5, {value}"])
+        with pytest.raises(DataError, match="^nf_node_attributes.txt contains a non-finite value$"):
+            parse_tu_dataset(d, "nf")
 
     def test_meta_mismatch(self, tmp_path):
         d = write_tu_files(tmp_path / "m", "m", ["1", "1"], ["1 2", "2 1"], ["1"])
