@@ -135,8 +135,7 @@ def precompute_dataset(
     # block diagonal and spmm sums each row on its own, so every graph's rows
     # equal those of a per-graph augment bit for bit.
     union = disjoint_union([g.graph for g in dataset.graphs])
-    X = np.concatenate([g.node_features for g in dataset.graphs])
-    feats = augment(union, X, spec, cap)
+    feats = augment(union, _stack_rows([g.node_features for g in dataset.graphs]), spec, cap)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -146,6 +145,23 @@ def precompute_dataset(
     finally:
         tmp.unlink(missing_ok=True)
     return np.split(feats, np.cumsum(sizes)[:-1])
+
+
+def _stack_rows(blocks: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(blocks)``, without the copy when the blocks are
+    consecutive row ranges that tile one C-contiguous array, as the node
+    features of a parsed dataset do."""
+    base = blocks[0].base
+    if base is not None and base.flags.c_contiguous:
+        at = base.ctypes.data
+        for b in blocks:
+            if b.base is not base or b.ctypes.data != at:
+                break
+            at += b.nbytes
+        else:
+            if at == base.ctypes.data + base.nbytes:
+                return base.reshape(sum(len(b) for b in blocks), blocks[0].shape[1])
+    return np.concatenate(blocks)
 
 
 def _load_cache(path: Path, sizes: list[int], width: int) -> list[np.ndarray]:

@@ -4,6 +4,7 @@ optional per-node labels and continuous attributes)."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +30,34 @@ KNOWN_DATASETS: dict[str, DatasetMeta] = {
 def _read_numbers(path: Path, dtype) -> np.ndarray:
     """Read a whitespace/comma-separated numeric file as a flat array.
 
-    Tolerates trailing whitespace, blank lines, and Windows line endings.
+    Tolerates trailing whitespace, blank lines, and Windows line endings. The
+    bytes go straight to numpy's number parser, so a token that is not a
+    plain number (a non-ASCII byte included) is non-numeric data.
     """
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    tokens = text.replace(",", " ").split()
+    raw = raw.replace(b",", b" ")
+    if not raw.strip():  # numpy reads blank text as one number (0 or -1.0)
+        return np.empty(0, dtype=dtype)
     try:
-        return np.array(tokens, dtype=dtype)
+        values = np.fromstring(raw, dtype=dtype, sep=" ")
     except ValueError as exc:
         raise DataError(f"{path} contains non-numeric data: {exc}") from exc
+    if values.dtype.kind == "i":
+        # numpy's integer reader takes a sign with no digit after it as the
+        # sign of the next number, or as 0 at the end of the text
+        if (b"-" in raw or b"+" in raw) and re.search(rb"[-+](?![0-9])", raw):
+            raise DataError(f"{path} contains non-numeric data: a sign without digits")
+        # and it clamps an integer outside the dtype to a limit: where a limit
+        # appears, every token's exact value is checked
+        info = np.iinfo(values.dtype)
+        if (values.max() == info.max or values.min() == info.min) and any(
+            not info.min <= int(token) <= info.max for token in raw.split()
+        ):
+            raise DataError(f"{path} contains an integer outside {values.dtype}")
+    return values
 
 
 def _require(path: Path) -> Path:
@@ -87,6 +105,16 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
     if edges.size and (node_graph[edges[:, 0]] != node_graph[edges[:, 1]]).any():
         raise DataError(f"{name}_A.txt contains an edge between two graphs")
 
+    # Number the nodes graph by graph (file order within a graph). A file that
+    # already lists them so keeps its numbering, and its node rows are used as
+    # they are; otherwise edges and node rows are permuted once.
+    node_order = slice(None)
+    if (node_graph[1:] < node_graph[:-1]).any():
+        node_order = np.argsort(node_graph, kind="stable")
+        position = np.empty(num_nodes_total, dtype=np.int64)
+        position[node_order] = np.arange(num_nodes_total)
+        edges = position[edges]
+
     # Node feature blocks: one-hot labels first, then raw attributes.
     blocks = []
     labels_path = directory / f"{name}_node_labels.txt"
@@ -97,7 +125,7 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
                 f"{name}_node_labels.txt has {node_labels.size} entries "
                 f"for {num_nodes_total} nodes"
             )
-        values, label_index = np.unique(node_labels, return_inverse=True)
+        values, label_index = np.unique(node_labels[node_order], return_inverse=True)
         onehot = np.zeros((num_nodes_total, values.size), dtype=np.float64)
         onehot[np.arange(num_nodes_total), label_index] = 1.0
         blocks.append(onehot)
@@ -110,25 +138,25 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
             )
         if not np.isfinite(flat).all():
             raise DataError(f"{name}_node_attributes.txt contains a non-finite value")
-        blocks.append(flat.reshape(num_nodes_total, -1))
-    features = np.concatenate(blocks, axis=1) if blocks else np.ones((num_nodes_total, 1))
+        blocks.append(flat.reshape(num_nodes_total, -1)[node_order])
+    if len(blocks) > 1:
+        features = np.concatenate(blocks, axis=1)
+    else:  # a lone block is used as it is, not copied
+        features = blocks[0] if blocks else np.ones((num_nodes_total, 1))
 
     # Remap arbitrary integer graph labels to contiguous 0-based classes.
     classes, y = np.unique(graph_labels_raw, return_inverse=True)
 
-    # Renumber nodes graph by graph (file order within a graph), build one
-    # graph over the whole file, and cut each graph out of its row range.
-    node_order = np.argsort(node_graph, kind="stable")
+    # Build one graph over the whole file and cut each graph out of its row
+    # range; its node features are a view of the same rows.
     starts = np.concatenate([[0], np.cumsum(np.bincount(node_graph, minlength=num_graphs))])
-    position = np.empty(num_nodes_total, dtype=np.int64)
-    position[node_order] = np.arange(num_nodes_total)
-    whole = Graph.from_edges(num_nodes_total, position[edges])
+    whole = Graph.from_edges(num_nodes_total, edges)
     graphs = []
     for g in range(num_graphs):
         lo, hi = int(starts[g]), int(starts[g + 1])
         a, b = whole.indptr[lo], whole.indptr[hi]
         graph = Graph(hi - lo, whole.indptr[lo : hi + 1] - a, whole.indices[a:b] - lo)
-        graphs.append(AttributedGraph(graph, features[node_order[lo:hi]], int(y[g])))
+        graphs.append(AttributedGraph(graph, features[lo:hi], int(y[g])))
 
     if meta is None:
         meta = KNOWN_DATASETS.get(name, DatasetMeta())

@@ -312,6 +312,32 @@ def test_non_finite_attribute_exits_one_before_any_run_dir(tmp_path, capsys, val
     assert "Traceback" not in err and not out.exists()
 
 
+UNREADABLE_NUMBER_CASES = {
+    f"{part}-{what}": (part, token, message)
+    for part in ("graph_labels", "A", "node_labels")
+    for what, token, message in (
+        ("above-int64", b"99999999999999999999", "contains an integer outside int64"),
+        ("non-utf8", b"\xff", "contains non-numeric data"))
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_NUMBER_CASES)
+def test_unreadable_number_exits_one_before_any_run_dir(tmp_path, capsys, case):
+    part, token, message = UNREADABLE_NUMBER_CASES[case]
+    d = write_tu_files(tmp_path / "num", "num", indicator=[str(1 + i // 2) for i in range(8)],
+                       edges=[f"{u} {u + 1}" for u in range(1, 9, 2)],
+                       graph_labels=["1", "2", "1", "2"], node_labels=["1", "2"] * 4)
+    path = d / f"num_{part}.txt"
+    path.write_bytes(path.read_bytes().replace(b"2", token, 1))
+    out = tmp_path / "runs"
+    code = run(["cv", "--dataset", str(d), "--model", "gfn", "--epochs", "2", "--folds", "2",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"num_{part}.txt {message}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 SHARED_FLAGS = {"--dataset", "--config", "--out", "--data-root"}  # named in the README's prose
 

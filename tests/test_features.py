@@ -3,6 +3,7 @@ import pytest
 
 from gfnlab.features import (
     FeatureSpec,
+    _stack_rows,
     augment,
     dataset_degree_cap,
     default_cache_dir,
@@ -11,6 +12,9 @@ from gfnlab.features import (
 )
 from gfnlab.graphs import AttributedGraph, Dataset, Graph, normalized_adjacency
 from gfnlab.sparse import spmm
+from gfnlab.tu import parse_tu_dataset
+
+from conftest import write_tu_files
 
 
 def small_dataset(num=6, seed=0):
@@ -175,6 +179,23 @@ class TestCache:
             assert len(feats) == len(ds)
             for a, b in zip(feats, expected):
                 np.testing.assert_array_equal(a, b)
+
+    def test_parsed_node_features_are_stacked_without_a_copy(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for node_files in ({"node_labels": [str(x) for x in rng.integers(0, 3, 7)]},
+                           {"node_attributes": [f"{x:.3f}, 1" for x in rng.random(7)]}, {}):
+            d = write_tu_files(tmp_path / str(len(list(tmp_path.iterdir()))), "s",
+                               indicator=["1", "1", "2", "2", "2", "3", "3"],
+                               edges=["1 2", "3 4", "6 7"], graph_labels=["1", "2", "1"],
+                               **node_files)
+            rows = [g.node_features for g in parse_tu_dataset(d, "s").graphs]
+            stacked = _stack_rows(rows)
+            assert np.shares_memory(stacked, rows[0])
+            np.testing.assert_array_equal(stacked, np.concatenate(rows))
+            for part in (rows[::-1], rows[1:], rows[:-1], [rows[0], rows[0]]):
+                stacked = _stack_rows(part)
+                assert not np.shares_memory(stacked, rows[0])
+                np.testing.assert_array_equal(stacked, np.concatenate(part))
 
     def test_specs_get_distinct_cache_files(self, tmp_path):
         ds = small_dataset()

@@ -93,6 +93,59 @@ class TestCSRMatrix:
             m.data[0] = 9.0
 
 
+def lexsort_from_coo(shape, rows, cols, vals):
+    """Reference CSR build: a two-key lexsort and per-entry row counts."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.add.at(indptr, rows[order] + 1, 1)
+    return np.cumsum(indptr), cols[order], vals[order]
+
+
+class TestFromCoo:
+    def test_matches_lexsort_and_add_at(self):
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            nr, nc = (int(x) for x in rng.integers(0, 12, size=2))
+            count = int(rng.integers(0, 60)) if nr and nc else 0
+            # few distinct coordinates, so many repeat; every value is distinct
+            rows = rng.integers(0, max(1, nr // 2 + trial % 2 * nr // 2), count)
+            cols = rng.integers(0, max(1, nc), count)
+            vals = rng.permutation(count) + rng.random(count)
+            m = from_coo((nr, nc), rows, cols, vals)
+            indptr, indices, data = lexsort_from_coo((nr, nc), rows, cols, vals)
+            assert m.shape == (nr, nc)
+            assert_bitwise_equal(m.indptr, indptr)
+            assert_bitwise_equal(m.indices, indices)
+            assert_bitwise_equal(m.data, data)
+
+    def test_zero_by_zero(self):
+        m = from_coo((0, 0), [], [], np.zeros(0))
+        assert m.shape == (0, 0) and m.nnz == 0
+        np.testing.assert_array_equal(m.indptr, [0])
+
+    def test_duplicates_keep_their_input_order(self):
+        m = from_coo((2, 3), [1, 0, 1, 1, 0], [2, 1, 0, 2, 1], [1.0, 2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(m.indptr, [0, 2, 5])
+        np.testing.assert_array_equal(m.indices, [1, 1, 0, 2, 2])
+        np.testing.assert_array_equal(m.data, [2.0, 5.0, 3.0, 1.0, 4.0])
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_row_out_of_range(self, row):
+        with pytest.raises(ValueError, match="row index out of range"):
+            from_coo((2, 2), [0, row], [1, 0], [1.0, 2.0])
+
+    # few rows, so that no shape here allocates much however its check goes
+    @pytest.mark.parametrize("shape", [(2, 2**62 + 1), (3, 2**62), (5, 2**61 + 1)])
+    def test_shape_too_large_for_one_int64_key(self, shape):
+        with pytest.raises(ValueError, match="int64"):
+            from_coo(shape, [0], [0], [1.0])
+
+    def test_largest_keyable_shape(self):
+        m = from_coo((2, 2**62), [1, 1, 0], [2**62 - 1, 0, 5], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(m.indptr, [0, 1, 3])
+        np.testing.assert_array_equal(m.indices, [5, 0, 2**62 - 1])
+
+
 class TestSpmm:
     def test_matches_dense_product_on_random_matrices(self):
         rng = np.random.default_rng(11)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gfnlab.graphs import DataError, DatasetMeta, Graph
-from gfnlab.tu import KNOWN_DATASETS, parse_tu_dataset
+from gfnlab.tu import KNOWN_DATASETS, _read_numbers, parse_tu_dataset
 
 from conftest import write_tu_files
 
@@ -160,6 +160,140 @@ def test_one_from_edges_call_per_file(tmp_path, monkeypatch):
     d, graphs, node_labels = _random_tu_files(np.random.default_rng(3), tmp_path / "one")
     ds = parse_tu_dataset(d, "rnd")
     assert len(ds) == len(graphs) and calls == [node_labels.size]
+
+
+def _tu_like_text(rng, dtype):
+    """Random numbers laid out as a TU file might hold them: one to three per
+    line, comma- or space-separated, LF or CRLF, with blank lines and leading
+    or trailing whitespace. Returns the text and the numbers' count."""
+    if dtype == np.int64:
+        values = rng.integers(-10**12, 10**12, int(rng.integers(0, 60)))
+        tokens = [("+" if v >= 0 and rng.random() < 0.2 else "") + str(v) for v in values]
+    else:
+        values = rng.standard_normal(int(rng.integers(0, 60))) * 10.0 ** rng.integers(-8, 9)
+        formats = [repr, "{:.6g}".format, "{:e}".format, "{:.17g}".format, "{:.3f}".format]
+        tokens = [formats[int(rng.integers(len(formats)))](float(v)) for v in values]
+    newline = ["\n", "\r\n"][int(rng.integers(2))]
+    lines, i = [], 0
+    while i < len(tokens):
+        width = int(rng.integers(1, 4))
+        sep = [", ", ",", " ", "\t", "  "][int(rng.integers(5))]
+        pad = [("", ""), (" ", ""), ("", " "), ("\t", "  ")][int(rng.integers(4))]
+        lines.append(pad[0] + sep.join(tokens[i : i + width]) + pad[1])
+        lines += [""] * int(rng.integers(0, 2) * rng.integers(1, 3))
+        i += width
+    lead = ["", newline, " "][int(rng.integers(3))]
+    return lead + newline.join(lines) + newline * int(rng.integers(0, 3)), len(tokens)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64], ids=["int64", "float64"])
+def test_reader_matches_splitting_the_text(tmp_path, dtype):
+    rng = np.random.default_rng(23)
+    path = tmp_path / "numbers.txt"
+    for _ in range(200):
+        text, count = _tu_like_text(rng, dtype)
+        path.write_bytes(text.encode())
+        expected = np.array(text.replace(",", " ").split(), dtype=dtype)
+        got = _read_numbers(path, dtype)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (count,)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64], ids=["int64", "float64"])
+@pytest.mark.parametrize("text", ["", "\n", "  \r\n\t\n ", ",", " , \n"],
+                         ids=["empty", "newline", "whitespace", "comma", "commas-and-spaces"])
+def test_reader_gives_empty_for_a_file_without_numbers(tmp_path, dtype, text):
+    path = tmp_path / "blank.txt"
+    path.write_bytes(text.encode())
+    got = _read_numbers(path, dtype)
+    assert got.dtype == dtype and got.shape == (0,)
+
+
+def test_reader_keeps_the_int64_limits(tmp_path):
+    path = tmp_path / "limits.txt"
+    path.write_text("9223372036854775807\n-9223372036854775808\n+9223372036854775807\n")
+    got = _read_numbers(path, np.int64)
+    np.testing.assert_array_equal(got, [2**63 - 1, -(2**63), 2**63 - 1])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64], ids=["int64", "float64"])
+def test_reader_refuses_what_splitting_refuses(tmp_path, dtype):
+    """Short random strings of digits, signs, separators, '.', 'e' and
+    numbers at and beyond the int64 limits: the reader gives the same array
+    as splitting the text, or a DataError wherever that raises."""
+    rng = np.random.default_rng(31)
+    alphabet = list(" \n\r\t\x0b\x0c,-+0123456789.e") + [
+        "99999999999999999999", "9223372036854775807", "-9223372036854775808"]
+    path = tmp_path / "fuzz.txt"
+    for _ in range(1500):
+        text = "".join(rng.choice(alphabet, int(rng.integers(0, 10))))
+        path.write_bytes(text.encode())
+        try:
+            expected = np.array(text.replace(",", " ").split(), dtype=dtype)
+        except (ValueError, OverflowError):
+            with pytest.raises(DataError):
+                _read_numbers(path, dtype)
+        else:
+            assert _read_numbers(path, dtype).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text", ["1 - 2", "3 -", "- 3", "1 + 2", "4 +\n"])
+def test_reader_refuses_a_sign_without_digits(tmp_path, text):
+    path = tmp_path / "signs.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match="signs.txt contains non-numeric data"):
+        _read_numbers(path, np.int64)
+    with pytest.raises(DataError, match="signs.txt contains non-numeric data"):
+        _read_numbers(path, np.float64)
+
+
+FILE_PARTS = {  # which TU file carries the bad token, and the other files' content
+    "graph_labels": dict(indicator=["1", "1"], edges=["1 2"], graph_labels=["{}"]),
+    "A": dict(indicator=["1", "1"], edges=["1 2", "2 {}"], graph_labels=["1"]),
+    "node_labels": dict(indicator=["1", "1"], edges=["1 2"], graph_labels=["1"],
+                        node_labels=["0", "{}"]),
+    "graph_indicator": dict(indicator=["1", "{}"], edges=["1 2"], graph_labels=["1"]),
+}
+
+
+def _tu_files_with(directory, part, token):
+    return write_tu_files(directory, "big", **{
+        key: [line.replace("{}", token) for line in lines]
+        for key, lines in FILE_PARTS[part].items()})
+
+
+@pytest.mark.parametrize("part", FILE_PARTS)
+@pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999",
+                                   "9223372036854775808", "-9223372036854775809"])
+def test_integer_outside_int64_is_a_data_error(tmp_path, part, token):
+    d = _tu_files_with(tmp_path / "big", part, token)
+    with pytest.raises(DataError, match=f"big_{part}.txt contains an integer outside int64"):
+        parse_tu_dataset(d, "big")
+
+
+@pytest.mark.parametrize("part", FILE_PARTS)
+def test_non_utf8_byte_is_non_numeric_data(tmp_path, part):
+    d = _tu_files_with(tmp_path / "raw", part, "0")
+    path = d / f"big_{part}.txt"
+    path.write_bytes(path.read_bytes().replace(b"0", b"\xff"))
+    with pytest.raises(DataError, match=f"big_{part}.txt contains non-numeric data"):
+        parse_tu_dataset(d, "big")
+
+
+def test_grouped_graphs_view_one_feature_matrix(tmp_path):
+    rng = np.random.default_rng(5)
+    for i, node_files in enumerate([{}, {"node_labels": [str(x) for x in rng.integers(0, 4, 9)]},
+                                    {"node_attributes": [f"{x:.3f}" for x in rng.random(9)]}]):
+        d = write_tu_files(tmp_path / str(i), "grp",
+                           indicator=["1", "1", "1", "2", "2", "4", "4", "4", "4"],
+                           edges=["1 2", "2 3", "4 5", "6 9"], graph_labels=["1", "2", "1"],
+                           **node_files)
+        graphs = parse_tu_dataset(d, "grp").graphs
+        base = graphs[0].node_features.base
+        assert base is not None
+        assert all(g.node_features.base is base and np.shares_memory(base, g.node_features)
+                   for g in graphs)
+        assert sum(g.node_features.shape[0] for g in graphs) == 9
 
 
 class TestParseErrors:
