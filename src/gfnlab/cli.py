@@ -125,7 +125,10 @@ def make_run_dir(out_root: Path, label: str) -> Path:
     while path.exists():
         n += 1
         path = Path(f"{base}-{n}")
-    path.mkdir(parents=True)
+    try:
+        path.mkdir(parents=True)
+    except OSError as exc:
+        raise UsageError(f"--out {out_root} cannot hold a run directory ({exc})") from exc
     return path
 
 

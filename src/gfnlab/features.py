@@ -21,9 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (
-    Dataset, Graph, degree_one_hot, disjoint_union, node_degrees, normalized_adjacency
-)
+from .graphs import Dataset, Graph, disjoint_union, node_degrees, normalized_adjacency
 from .sparse import spmm
 
 # Part of every cache key; bump it when the cached matrices would change.
@@ -58,22 +56,22 @@ class FeatureSpec:
         return [f"{name}_{j}" for name, width in blocks for j in range(width)]
 
 
-def augment(graph: Graph, X: np.ndarray, spec: FeatureSpec, degree_cap: int) -> np.ndarray:
-    """Build the augmented feature matrix for one graph.
+def augment(graph: Graph, rows: list[np.ndarray], spec: FeatureSpec, degree_cap: int) -> np.ndarray:
+    """Build the augmented feature matrix for one graph whose X is the row
+    blocks ``rows`` in order (a single graph's X is ``[X]``).
 
-    ``degree_cap`` is the one-hot clamp bucket, normally the dataset-wide
-    maximum degree so all graphs share one schema. All arithmetic is float64.
+    Every block is written straight into the output, so X is never stacked
+    into a copy of its own. ``degree_cap`` is the one-hot clamp bucket,
+    normally the dataset-wide maximum degree so all graphs share one schema.
+    All arithmetic is float64; rows that do not fit raise ``ValueError``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != graph.num_nodes:
-        raise ValueError(f"X must be ({graph.num_nodes}, d), got {X.shape}")
-    d = X.shape[1]
+    n, d = graph.num_nodes, rows[0].shape[1]
     cap = max(degree_cap, 1)
     deg = cap + 1 if spec.use_degree else 0  # width of the degree block
-    out = np.empty((graph.num_nodes, deg + (spec.K + 1) * d))
+    out = np.zeros((n, deg + (spec.K + 1) * d))
     if spec.use_degree:
-        out[:, :deg] = degree_one_hot(node_degrees(graph), cap)
-    out[:, deg : deg + d] = X
+        out[np.arange(n), np.minimum(node_degrees(graph), cap)] = 1.0
+    np.concatenate(rows, out=out[:, deg : deg + d])
     if spec.K > 0:
         adj = normalized_adjacency(graph, spec.epsilon).matrix
         for lo in range(deg, deg + spec.K * d, d):
@@ -83,12 +81,7 @@ def augment(graph: Graph, X: np.ndarray, spec: FeatureSpec, degree_cap: int) -> 
 
 def dataset_degree_cap(dataset: Dataset) -> int:
     """Dataset-wide maximum node degree, the one-hot clamp bucket."""
-    cap = 0
-    for g in dataset.graphs:
-        degs = node_degrees(g.graph)
-        if degs.size:
-            cap = max(cap, int(degs.max()))
-    return max(cap, 1)
+    return max(int(node_degrees(g.graph).max(initial=1)) for g in dataset.graphs)
 
 
 def default_cache_dir() -> Path:
@@ -119,8 +112,9 @@ def precompute_dataset(
     """Compute augmented features for every graph, reusing the on-disk cache.
 
     The cache is one float64 matrix of all graphs' rows, keyed on content; a
-    corrupt or mismatched cache file is recomputed with a warning. Results are
-    ordered by graph index.
+    corrupt or mismatched cache file is recomputed, and a cache directory that
+    cannot be written is skipped, each with a warning. Results are ordered by
+    graph index.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cap = dataset_degree_cap(dataset)
@@ -135,33 +129,20 @@ def precompute_dataset(
     # block diagonal and spmm sums each row on its own, so every graph's rows
     # equal those of a per-graph augment bit for bit.
     union = disjoint_union([g.graph for g in dataset.graphs])
-    feats = augment(union, _stack_rows([g.node_features for g in dataset.graphs]), spec, cap)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    feats = augment(union, [g.node_features for g in dataset.graphs], spec, cap)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
             np.save(fh, feats)
         os.replace(tmp, path)
+    except OSError as exc:  # the cache only saves time: return the features uncached
+        warnings.warn(f"feature cache directory {cache_dir} is not writable ({exc}); "
+                      "features not cached", stacklevel=2)
     finally:
-        tmp.unlink(missing_ok=True)
+        if os.path.lexists(tmp):
+            tmp.unlink()
     return np.split(feats, np.cumsum(sizes)[:-1])
-
-
-def _stack_rows(blocks: list[np.ndarray]) -> np.ndarray:
-    """``np.concatenate(blocks)``, without the copy when the blocks are
-    consecutive row ranges that tile one C-contiguous array, as the node
-    features of a parsed dataset do."""
-    base = blocks[0].base
-    if base is not None and base.flags.c_contiguous:
-        at = base.ctypes.data
-        for b in blocks:
-            if b.base is not base or b.ctypes.data != at:
-                break
-            at += b.nbytes
-        else:
-            if at == base.ctypes.data + base.nbytes:
-                return base.reshape(sum(len(b) for b in blocks), blocks[0].shape[1])
-    return np.concatenate(blocks)
 
 
 def _load_cache(path: Path, sizes: list[int], width: int) -> list[np.ndarray]:

@@ -165,16 +165,6 @@ def disjoint_union(graphs: list[Graph]) -> Graph:
     return Graph(*stack_diagonal([(g.num_nodes, g.indptr, g.indices) for g in graphs]))
 
 
-def degree_one_hot(degrees: np.ndarray, max_bucket: int) -> np.ndarray:
-    """One-hot encode degrees into ``max_bucket + 1`` buckets, clamping the tail."""
-    if max_bucket < 1:
-        raise ValueError("max_bucket must be at least 1")
-    degrees = np.asarray(degrees, dtype=np.int64)
-    out = np.zeros((degrees.size, max_bucket + 1), dtype=np.float64)
-    out[np.arange(degrees.size), np.minimum(degrees, max_bucket)] = 1.0
-    return out
-
-
 @dataclass
 class FoldPlan:
     """Deterministic stratified fold assignment for cross-validation."""

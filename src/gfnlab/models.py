@@ -161,28 +161,6 @@ class ModelInstance:
         node0.backward(g, input_grad=False)
 
 
-def collapse_linear_gcn(conv_weights: list[np.ndarray], adj: CSRMatrix, X: np.ndarray) -> np.ndarray:
-    """Single-linear-map form of a K-layer aggregation stack with identity
-    activations: propagate X through the adjacency K times, then apply the
-    product of the K weight matrices once."""
-    prop = np.asarray(X)
-    theta = None
-    for W in conv_weights:
-        W = np.asarray(W)
-        if theta is None:
-            theta = W
-        else:
-            if theta.shape[1] != W.shape[0]:
-                raise ValueError("weight matrices are not chainable")
-            theta = theta @ W
-        prop = spmm(adj, prop)
-    if theta is None:
-        return prop
-    if prop.shape[1] != theta.shape[0]:
-        raise ValueError("X width does not match the first weight matrix")
-    return prop @ theta
-
-
 def make_batch(
     features: list[np.ndarray],
     labels: np.ndarray,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad
+from conftest import collapse_linear_gcn, finite_difference_grad
 from gfnlab.cli import main as cli_main
 from gfnlab.cli import resolve_dataset
 from gfnlab.features import FeatureSpec, augment
@@ -36,7 +36,6 @@ from gfnlab.models import (
     GraphConv,
     ModelConfig,
     ModelInstance,
-    collapse_linear_gcn,
     make_batch,
 )
 from gfnlab.nn import (
@@ -263,7 +262,7 @@ def test_c3_permutation_invariance():
             model = None
             outs = []
             for graph, x in ((g, X), (g2, X[perm])):
-                feats = augment(graph, x, cfg.feature_spec, n).astype(np.float32)
+                feats = augment(graph, [x], cfg.feature_spec, n).astype(np.float32)
                 adj = normalized_adjacency(graph).matrix.astype(np.float32)
                 if model is None:
                     model = ModelInstance(cfg, feats.shape[1], seed=trial)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import platform
@@ -151,6 +152,40 @@ def test_bad_options_exit_two_before_any_run_dir(tmp_path, capsys, case):
     assert "usage error:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+UNUSABLE_OUT_CASES = {
+    "cv": ["cv", "--model", "gln", "--epochs", "1", "--folds", "2"],
+    "features": ["features", "export", "--k", "1"],
+    "ablate": ["ablate", "--axis", "features", "--model", "gln", "--epochs", "1", "--folds", "2"],
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", list(UNUSABLE_OUT_CASES))
+def test_unusable_out_exits_two_with_nothing_written(tmp_path, capsys, command, below):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("kept")
+    out = blocker / "runs" if below else blocker
+    code = run(UNUSABLE_OUT_CASES[command] + ["--dataset", "synthetic", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"usage error: --out {out} " in err and "Traceback" not in err
+    assert blocker.read_text() == "kept" and list(tmp_path.iterdir()) == [blocker]
+
+
+def test_unwritable_feature_cache_warns_and_the_run_ends_ok(tmp_path, monkeypatch):
+    argv = ["cv", "--dataset", "synthetic", "--model", "gfn", "--epochs", "1", "--folds", "2"]
+    assert run(argv + ["--out", str(tmp_path / "cached")]) == 0
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("GFNLAB_CACHE", str(blocker / "sub"))
+    with pytest.warns(UserWarning, match=f"{re.escape(str(blocker / 'sub'))} is not writable"):
+        assert run(argv + ["--out", str(tmp_path / "uncached")]) == 0
+    run_dir = single_run_dir(tmp_path / "uncached")
+    assert json.loads((run_dir / "manifest.json").read_text())["status"] == "ok"
+    cached = single_run_dir(tmp_path / "cached") / "report.json"
+    assert (run_dir / "report.json").read_bytes() == cached.read_bytes()
 
 
 class TestAblateCommand:
@@ -367,6 +402,48 @@ def test_readme_layout_names_exactly_the_modules():
     package = README.parent / "src" / "gfnlab"
     modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
     assert sorted(table) == sorted(modules)
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a piece of code reads: bare names, attributes, imported
+    names and string constants (perfbench patches functions by name)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def _defined_names(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else (
+        [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    """Each public module-level function, class or constant of the package is
+    read by another of its modules, by the rest of its own module or by
+    perfbench: public API that only tests use belongs in the tests."""
+    root = README.parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in (root / "src" / "gfnlab").glob("*.py")}
+    perfbench = [ast.parse(p.read_text()) for p in (root / "perfbench").glob("*.py")]
+    unread = []
+    for module, tree in trees.items():
+        outside = set().union(*map(_names_read, perfbench),
+                              *(_names_read(t) for m, t in trees.items() if m != module))
+        for statement in tree.body:
+            rest = set().union(*(_names_read(s) for s in tree.body if s is not statement))
+            unread += [f"{module}.{name}" for name in _defined_names(statement)
+                       if not name.startswith("_") and name not in outside | rest]
+    assert unread == []
 
 
 def test_folds_above_graph_count_exit_two_before_any_run_dir(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gfnlab.features import (
     FeatureSpec,
-    _stack_rows,
     augment,
     dataset_degree_cap,
     default_cache_dir,
@@ -12,9 +14,6 @@ from gfnlab.features import (
 )
 from gfnlab.graphs import AttributedGraph, Dataset, Graph, normalized_adjacency
 from gfnlab.sparse import spmm
-from gfnlab.tu import parse_tu_dataset
-
-from conftest import write_tu_files
 
 
 def small_dataset(num=6, seed=0):
@@ -41,7 +40,7 @@ class TestAugment:
         two entries, so each propagated column is [1/2, 1/2]."""
         g = Graph.from_edges(2, [(0, 1)])
         spec = FeatureSpec(use_degree=False, K=2)
-        out = augment(g, np.array([[1.0], [0.0]]), spec, degree_cap=1)
+        out = augment(g, [np.array([[1.0], [0.0]])], spec, degree_cap=1)
         np.testing.assert_allclose(out, [[1.0, 0.5, 0.5], [0.0, 0.5, 0.5]], atol=1e-15)
         assert spec.column_names(1, 1) == ["x_0", "a1x_0", "a2x_0"]
 
@@ -49,7 +48,7 @@ class TestAugment:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         spec = FeatureSpec(use_degree=True, K=1)
         X = np.arange(6.0).reshape(3, 2)
-        out = augment(g, X, spec, degree_cap=4)
+        out = augment(g, [X], spec, degree_cap=4)
         assert spec.column_names(4, 2) == [
             "deg_0", "deg_1", "deg_2", "deg_3", "deg_4", "x_0", "x_1", "a1x_0", "a1x_1"]
         assert out.shape == (3, 5 + 2 + 2)
@@ -60,9 +59,32 @@ class TestAugment:
     def test_degree_block_is_one_hot(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
         spec = FeatureSpec(K=0)
-        out = augment(g, np.ones((3, 1)), spec, degree_cap=2)
+        out = augment(g, [np.ones((3, 1))], spec, degree_cap=2)
         np.testing.assert_array_equal(block(out, spec, 2, 1, "deg"),
                                       [[0, 0, 1], [0, 1, 0], [0, 1, 0]])
+
+    def test_degree_above_the_cap_lands_in_the_top_bucket(self):
+        # degrees: node 0 has 7, nodes 1 and 2 have 2, node 8 has 0
+        g = Graph.from_edges(9, [(0, i) for i in range(1, 8)] + [(1, 2)])
+        spec = FeatureSpec(K=0)
+        out = block(augment(g, [np.ones((9, 1))], spec, degree_cap=3), spec, 3, 1, "deg")
+        assert out.shape == (9, 4)
+        np.testing.assert_array_equal(out[[8, 1, 0]], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+    def test_row_blocks_equal_their_stack(self, random_graph):
+        """X given as row blocks, whether views that tile one matrix or
+        separate arrays, gives the bits of X given as one block."""
+        rng = np.random.default_rng(6)
+        g = random_graph(rng, 12)
+        X = rng.standard_normal((12, 3))
+        views = [X[:5], X[5:6], X[6:]]
+        separate = [rng.standard_normal((n, 3)) for n in (4, 1, 7)]
+        for blocks in (views, separate):
+            for use_degree in (False, True):
+                for K in range(4):
+                    spec = FeatureSpec(use_degree=use_degree, K=K)
+                    whole = augment(g, [np.concatenate(blocks)], spec, degree_cap=4)
+                    assert np.array_equal(augment(g, blocks, spec, degree_cap=4), whole)
 
     def test_column_names_match_width(self, random_graph):
         rng = np.random.default_rng(5)
@@ -71,7 +93,7 @@ class TestAugment:
         for use_degree in (False, True):
             for K in range(5):
                 spec = FeatureSpec(use_degree=use_degree, K=K)
-                out = augment(g, X, spec, degree_cap=4)
+                out = augment(g, [X], spec, degree_cap=4)
                 assert len(spec.column_names(4, 3)) == out.shape[1]
 
     def test_propagation_matches_iterated_spmm(self, random_graph):
@@ -80,7 +102,7 @@ class TestAugment:
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(2, 9)))
             X = rng.standard_normal((g.num_nodes, 3))
-            out = augment(g, X, spec, degree_cap=1)
+            out = augment(g, [X], spec, degree_cap=1)
             adj = normalized_adjacency(g).matrix
             prop = X
             for k in (1, 2, 3):
@@ -92,8 +114,8 @@ class TestAugment:
         g = random_graph(rng, 6)
         spec = FeatureSpec(use_degree=False, K=2)
         X, Y = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
-        combo = augment(g, 2.0 * X - 3.0 * Y, spec, 1)
-        linear = 2.0 * augment(g, X, spec, 1) - 3.0 * augment(g, Y, spec, 1)
+        combo = augment(g, [2.0 * X - 3.0 * Y], spec, 1)
+        linear = 2.0 * augment(g, [X], spec, 1) - 3.0 * augment(g, [Y], spec, 1)
         np.testing.assert_allclose(combo, linear, atol=1e-12)
 
     def test_permutation_equivariance(self, random_graph):
@@ -103,13 +125,13 @@ class TestAugment:
             n = int(rng.integers(3, 10))
             g = random_graph(rng, n)
             X = rng.standard_normal((n, 2))
-            base = augment(g, X, spec, degree_cap=n)
+            base = augment(g, [X], spec, degree_cap=n)
             perm = rng.permutation(n)
             inv = np.empty(n, dtype=np.int64)
             inv[perm] = np.arange(n)
             src = np.repeat(np.arange(n), np.diff(g.indptr))
             g2 = Graph.from_edges(n, np.stack([inv[src], inv[g.indices]], axis=1))
-            permuted = augment(g2, X[perm], spec, degree_cap=n)
+            permuted = augment(g2, [X[perm]], spec, degree_cap=n)
             np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_depth_prefix_nesting(self, random_graph):
@@ -117,14 +139,14 @@ class TestAugment:
         rng = np.random.default_rng(4)
         g = random_graph(rng, 7)
         X = rng.standard_normal((7, 2))
-        shallow = augment(g, X, FeatureSpec(K=2), degree_cap=7)
-        deep = augment(g, X, FeatureSpec(K=3), degree_cap=7)
+        shallow = augment(g, [X], FeatureSpec(K=2), degree_cap=7)
+        deep = augment(g, [X], FeatureSpec(K=3), degree_cap=7)
         np.testing.assert_array_equal(deep[:, : shallow.shape[1]], shallow)
 
     def test_row_count_checked(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
-            augment(g, np.ones((3, 1)), FeatureSpec(), degree_cap=1)
+            augment(g, [np.ones((3, 1))], FeatureSpec(), degree_cap=1)
 
 
 class TestFeatureSpec:
@@ -180,23 +202,6 @@ class TestCache:
             for a, b in zip(feats, expected):
                 np.testing.assert_array_equal(a, b)
 
-    def test_parsed_node_features_are_stacked_without_a_copy(self, tmp_path):
-        rng = np.random.default_rng(4)
-        for node_files in ({"node_labels": [str(x) for x in rng.integers(0, 3, 7)]},
-                           {"node_attributes": [f"{x:.3f}, 1" for x in rng.random(7)]}, {}):
-            d = write_tu_files(tmp_path / str(len(list(tmp_path.iterdir()))), "s",
-                               indicator=["1", "1", "2", "2", "2", "3", "3"],
-                               edges=["1 2", "3 4", "6 7"], graph_labels=["1", "2", "1"],
-                               **node_files)
-            rows = [g.node_features for g in parse_tu_dataset(d, "s").graphs]
-            stacked = _stack_rows(rows)
-            assert np.shares_memory(stacked, rows[0])
-            np.testing.assert_array_equal(stacked, np.concatenate(rows))
-            for part in (rows[::-1], rows[1:], rows[:-1], [rows[0], rows[0]]):
-                stacked = _stack_rows(part)
-                assert not np.shares_memory(stacked, rows[0])
-                np.testing.assert_array_equal(stacked, np.concatenate(part))
-
     def test_specs_get_distinct_cache_files(self, tmp_path):
         ds = small_dataset()
         precompute_dataset(ds, FeatureSpec(K=1), cache_dir=tmp_path)
@@ -217,7 +222,7 @@ class TestCache:
             for ds in (same([(0, 1), (1, 2)]), same([(0, 1), (0, 2)])):
                 feats = precompute_dataset(ds, spec, cache_dir=tmp_path)
                 for f, g in zip(feats, ds.graphs):
-                    np.testing.assert_array_equal(f, augment(g.graph, g.node_features, spec, 2))
+                    np.testing.assert_array_equal(f, augment(g.graph, [g.node_features], spec, 2))
         assert len(list(tmp_path.glob("*.npy"))) == 2
         assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npy", ".npy"]
 
@@ -233,12 +238,46 @@ class TestCache:
         for K in range(4):
             for use_degree in (True, False):
                 spec = FeatureSpec(use_degree=use_degree, K=K)
-                expected = [augment(g.graph, g.node_features, spec, cap) for g in graphs]
+                expected = [augment(g.graph, [g.node_features], spec, cap) for g in graphs]
                 for _ in range(2):  # cold, then warm
                     feats = precompute_dataset(ds, spec, cache_dir=tmp_path)
                     assert len(feats) == len(expected)
                     for f, e in zip(feats, expected):
                         assert np.array_equal(f, e)
+
+    def test_precompute_allocates_little_beyond_its_output(self, tmp_path):
+        """Per-graph node features are written straight into the one output
+        matrix, never stacked into a copy of their own first."""
+        rng = np.random.default_rng(9)
+        graphs = []
+        for i in range(200):
+            n = int(rng.integers(20, 40))
+            g = Graph.from_edges(n, [(j, j + 1) for j in range(n - 1)])
+            graphs.append(AttributedGraph(g, rng.standard_normal((n, 64)), i % 2))
+        ds = Dataset("wide", graphs, num_classes=2, feature_dim=64)
+        tracemalloc.start()
+        try:
+            feats = precompute_dataset(ds, FeatureSpec(use_degree=False, K=0), cache_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(f.nbytes for f in feats)
+        assert peak < 1.5 * output, f"peak {peak / output:.2f}x the output bytes"
+
+    def test_unwritable_cache_dir_warns_and_returns_the_features(self, tmp_path):
+        ds = small_dataset()
+        spec = FeatureSpec(K=2)
+        expected = precompute_dataset(ds, spec, cache_dir=tmp_path / "cache")
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        for cache_dir in (blocker, blocker / "sub"):
+            with pytest.warns(UserWarning, match=f"{re.escape(str(cache_dir))} is not writable"):
+                feats = precompute_dataset(ds, spec, cache_dir=cache_dir)
+            assert len(feats) == len(expected)
+            for f, e in zip(feats, expected):
+                assert np.array_equal(f, e)
+        assert blocker.read_text() == "not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "cache"]
 
     def test_env_var_overrides_default_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GFNLAB_CACHE", str(tmp_path / "elsewhere"))

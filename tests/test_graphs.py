@@ -6,7 +6,6 @@ from gfnlab.graphs import (
     DataError,
     Dataset,
     Graph,
-    degree_one_hot,
     disjoint_union,
     generate_dense_synthetic,
     generate_synthetic_dataset,
@@ -123,14 +122,6 @@ def test_disjoint_union_adjacency_is_block_diagonal(random_graph):
     for a, b in ((whole.indptr, blocks.indptr), (whole.indices, blocks.indices),
                  (whole.data, blocks.data)):
         np.testing.assert_array_equal(a, b)
-
-
-def test_degree_one_hot_clamps():
-    oh = degree_one_hot(np.array([0, 2, 7]), max_bucket=3)
-    assert oh.shape == (3, 4)
-    np.testing.assert_array_equal(oh[0], [1, 0, 0, 0])
-    np.testing.assert_array_equal(oh[1], [0, 0, 1, 0])
-    np.testing.assert_array_equal(oh[2], [0, 0, 0, 1])  # clamped into the top bucket
 
 
 class TestDataset:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad
+from conftest import collapse_linear_gcn, finite_difference_grad
 from gfnlab import models
 from gfnlab.features import FeatureSpec, augment
 from gfnlab.graphs import Graph, normalized_adjacency
@@ -9,7 +9,6 @@ from gfnlab.models import (
     GraphConv,
     ModelConfig,
     ModelInstance,
-    collapse_linear_gcn,
     make_batch,
 )
 from gfnlab.nn import Affine, segment_sum_backward, softmax_cross_entropy
@@ -21,7 +20,7 @@ def random_attributed(rng, n, spec, p=0.5, num_feats=2, degree_cap=None):
     keep = rng.random(iu.size) < p
     g = Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1))
     X = rng.standard_normal((n, num_feats))
-    feats = augment(g, X, spec, degree_cap or n).astype(np.float32)
+    feats = augment(g, [X], spec, degree_cap or n).astype(np.float32)
     adj = normalized_adjacency(g, spec.epsilon).matrix.astype(np.float32)
     return g, feats, adj
 
@@ -174,7 +173,7 @@ class TestMirrorConstruction:
         for _ in range(3):
             n = int(rng.integers(2, 6))
             g = Graph.from_edges(n, [])
-            feats.append(augment(g, rng.standard_normal((n, 2)), spec, 3).astype(np.float32))
+            feats.append(augment(g, [rng.standard_normal((n, 2))], spec, 3).astype(np.float32))
             adjs.append(normalized_adjacency(g).matrix.astype(np.float32))
         labels = np.array([0, 1, 2])
         gcn_cfg = ModelConfig(kind="gcn", num_classes=3, feature_spec=spec)
@@ -254,7 +253,7 @@ class TestForward:
             model = None
             outs = []
             for graph, x in ((g, X), (g2, X[perm])):
-                feats = augment(graph, x, cfg.feature_spec, n).astype(np.float32)
+                feats = augment(graph, [x], cfg.feature_spec, n).astype(np.float32)
                 adj = normalized_adjacency(graph, cfg.feature_spec.epsilon).matrix.astype(np.float32)
                 if model is None:
                     model = ModelInstance(cfg, feats.shape[1], seed=trial)
