@@ -146,7 +146,8 @@ def normalized_adjacency(graph: Graph, epsilon: float = 1.0) -> NormalizedAdjace
     where dt_i = degree(i) + eps.
 
     The nonzero pattern is the adjacency pattern plus the full diagonal, and
-    the matrix is exactly symmetric.
+    the matrix is exactly symmetric. The diagonal goes straight into the
+    graph's rows, with no sort, so they must be column-sorted.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -154,10 +155,19 @@ def normalized_adjacency(graph: Graph, epsilon: float = 1.0) -> NormalizedAdjace
     inv_sqrt = 1.0 / np.sqrt(node_degrees(graph) + epsilon)
     src = np.repeat(np.arange(n), np.diff(graph.indptr))
     dst = graph.indices
-    rows = np.concatenate([src, np.arange(n)])
-    cols = np.concatenate([dst, np.arange(n)])
-    vals = np.concatenate([inv_sqrt[src] * inv_sqrt[dst], epsilon * inv_sqrt**2])
-    return NormalizedAdjacency(from_coo((n, n), rows, cols, vals))
+    if ((dst[1:] < dst[:-1]) & (src[1:] == src[:-1])).any():
+        raise ValueError("normalized_adjacency needs column-sorted rows")
+    # entries move right by their row index, one more past the diagonal; free slots take the diagonal
+    pos = src + (dst > src)
+    pos += np.arange(dst.size)  # in place, like vals: fewer transient arrays, a lower peak RSS
+    diagonal = np.ones(dst.size + n, dtype=bool)
+    diagonal[pos] = False
+    indices, data = np.empty(dst.size + n, dtype=np.int64), np.empty(dst.size + n)
+    indices[pos], indices[diagonal] = dst, np.arange(n)
+    vals = inv_sqrt[src]
+    vals *= inv_sqrt[dst]
+    data[pos], data[diagonal] = vals, epsilon * inv_sqrt**2
+    return NormalizedAdjacency(CSRMatrix((n, n), graph.indptr + np.arange(n + 1), indices, data))
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureSpec, precompute_dataset
-from .graphs import Dataset, normalized_adjacency, stratified_kfold
+from .graphs import Dataset, disjoint_union, normalized_adjacency, stratified_kfold
 from .models import (CONV_STACK_KINDS, MODEL_KINDS, BatchedGraphs, ModelConfig, ModelInstance,
                      make_batch)
 from .nn import adam_step, softmax_cross_entropy
-from .sparse import CSRMatrix
+from .sparse import CSRMatrix, split_diagonal
 
 
 @dataclass
@@ -62,16 +62,21 @@ def prepare_dataset(
     near zero) and, when the model aggregates, the per-graph adjacencies."""
     spec = model_config.feature_spec
     t0 = time.perf_counter()
+    # first, so that their union is freed before the precompute allocates
+    adjacencies = _adjacencies(dataset, spec.epsilon) if model_config.needs_adjacency else None
     feats = precompute_dataset(dataset, spec, cache_dir)
     features = [f.astype(np.float32) for f in feats]
-    adjacencies = None
-    if model_config.needs_adjacency:
-        adjacencies = [
-            normalized_adjacency(g.graph, spec.epsilon).matrix.astype(np.float32)
-            for g in dataset.graphs
-        ]
     prepared = PreparedDataset(features, dataset.labels, features[0].shape[1], adjacencies)
     return prepared, time.perf_counter() - t0
+
+
+def _adjacencies(dataset: Dataset, epsilon: float) -> list[CSRMatrix]:
+    """Each graph's float32 normalized adjacency, cut from one normalization of
+    the disjoint union: the same degrees, so the same bits as graph by graph."""
+    whole = normalized_adjacency(disjoint_union([g.graph for g in dataset.graphs]), epsilon).matrix
+    sizes = [g.graph.num_nodes for g in dataset.graphs]
+    return [CSRMatrix((n, n), indptr, indices, whole.data[entries].astype(np.float32))
+            for n, indptr, indices, entries in split_diagonal(sizes, whole.indptr, whole.indices)]
 
 
 @dataclass

@@ -64,7 +64,7 @@ class CSRMatrix:
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
+        np.add.at(out, (rows, self.indices), self.data)  # duplicates sum, as in spmm
         return out
 
 
@@ -154,6 +154,16 @@ def stack_diagonal(
         row += size
         pos += ix.size
     return row, np.concatenate(indptr), np.concatenate(indices)
+
+
+def split_diagonal(sizes, indptr, indices):
+    """The inverse of ``stack_diagonal``: yields each diagonal block of ``sizes``
+    rows as its size, ``indptr`` and ``indices``, and the slice of its entries."""
+    row = 0
+    for size in sizes:
+        a, b = int(indptr[row]), int(indptr[row + size])
+        yield size, indptr[row : row + size + 1] - a, indices[a:b] - row, slice(a, b)
+        row += size
 
 
 def block_diag(blocks: list[CSRMatrix]) -> CSRMatrix:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import AttributedGraph, DataError, Dataset, DatasetMeta, Graph
+from .sparse import split_diagonal
 
 # Reference counts for the common benchmarks, keyed by directory name:
 # graphs, classes and feature columns, each enforced exactly after parsing.
@@ -149,14 +150,11 @@ def parse_tu_dataset(directory, name: str, meta: DatasetMeta | None = None) -> D
 
     # Build one graph over the whole file and cut each graph out of its row
     # range; its node features are a view of the same rows.
-    starts = np.concatenate([[0], np.cumsum(np.bincount(node_graph, minlength=num_graphs))])
+    sizes = np.bincount(node_graph, minlength=num_graphs).tolist()
     whole = Graph.from_edges(num_nodes_total, edges)
-    graphs = []
-    for g in range(num_graphs):
-        lo, hi = int(starts[g]), int(starts[g + 1])
-        a, b = whole.indptr[lo], whole.indptr[hi]
-        graph = Graph(hi - lo, whole.indptr[lo : hi + 1] - a, whole.indices[a:b] - lo)
-        graphs.append(AttributedGraph(graph, features[lo:hi], int(y[g])))
+    rows = np.split(features, np.cumsum(sizes)[:-1])
+    cuts = zip(split_diagonal(sizes, whole.indptr, whole.indices), rows, y.tolist())
+    graphs = [AttributedGraph(Graph(n, ptr, ix), x, label) for (n, ptr, ix, _), x, label in cuts]
 
     if meta is None:
         meta = KNOWN_DATASETS.get(name, DatasetMeta())

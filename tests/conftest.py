@@ -23,6 +23,18 @@ def random_graph():
     return make
 
 
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_same_csr(got, want):
+    """Two CSR matrices hold the same shape, pattern and values, bit for bit."""
+    assert got.shape == want.shape
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert_bitwise_equal(a, b)
+
+
 def write_tu_files(directory, name, indicator, edges, graph_labels,
                    node_labels=None, node_attributes=None):
     """Lay out a benchmark directory from python lists of text lines."""
@@ -35,6 +47,33 @@ def write_tu_files(directory, name, indicator, edges, graph_labels,
     if node_attributes is not None:
         (directory / f"{name}_node_attributes.txt").write_text("\n".join(node_attributes) + "\n")
     return directory
+
+
+def random_tu_files(rng, directory):
+    """A random TU layout with an interleaved indicator, non-contiguous graph
+    ids, isolated nodes, graphs without edges and edges listed once, twice,
+    reversed or repeated, in shuffled order. Returns the directory and, per
+    graph in id order, its global node ids (file order), its local edge list
+    and its raw label, and the raw node labels."""
+    num_graphs = int(rng.integers(1, 7))
+    ids = np.sort(rng.choice(np.arange(1, 40), num_graphs, replace=False))
+    indicator = rng.permutation(np.repeat(ids, rng.integers(1, 9, num_graphs)))
+    node_labels = rng.integers(0, 5, indicator.size)
+    graph_labels = rng.integers(-2, 3, num_graphs)
+    lines, graphs = [], []
+    for gid, label in zip(ids, graph_labels):
+        nodes = np.flatnonzero(indicator == gid)
+        pairs = rng.integers(0, nodes.size, (int(rng.integers(0, 2 * nodes.size)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        graphs.append((nodes, pairs, label))
+        for u, v in nodes[pairs] + 1:
+            lines += [[f"{u} {v}"], [f"{v} {u}"], [f"{u} {v}", f"{v} {u}"],
+                      [f"{u} {v}"] * 3][int(rng.integers(4))]
+    d = write_tu_files(directory, "rnd", indicator=[str(i) for i in indicator],
+                       edges=[lines[i] for i in rng.permutation(len(lines))],
+                       graph_labels=[str(x) for x in graph_labels],
+                       node_labels=[str(x) for x in node_labels])
+    return d, graphs, node_labels
 
 
 def finite_difference_grad(loss_fn, params: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:

@@ -174,14 +174,20 @@ def test_unusable_out_exits_two_with_nothing_written(tmp_path, capsys, command, 
     assert blocker.read_text() == "kept" and list(tmp_path.iterdir()) == [blocker]
 
 
-def test_unwritable_feature_cache_warns_and_the_run_ends_ok(tmp_path, monkeypatch):
+# The interpreter's default filter shows a UserWarning; the suite's raises it.
+@pytest.mark.filterwarnings("default:feature cache directory:UserWarning")
+def test_unwritable_feature_cache_warns_and_the_run_ends_ok(tmp_path, monkeypatch, capsys):
     argv = ["cv", "--dataset", "synthetic", "--model", "gfn", "--epochs", "1", "--folds", "2"]
     assert run(argv + ["--out", str(tmp_path / "cached")]) == 0
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     monkeypatch.setenv("GFNLAB_CACHE", str(blocker / "sub"))
-    with pytest.warns(UserWarning, match=f"{re.escape(str(blocker / 'sub'))} is not writable"):
-        assert run(argv + ["--out", str(tmp_path / "uncached")]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "uncached")]) == 0
+    sub = re.escape(str(blocker / "sub"))
+    assert re.fullmatch(f"warning: feature cache directory {sub} is not writable "
+                        rf"\(\[Errno \d+\] [^\n]*\); features not cached\n",
+                        capsys.readouterr().err)
     run_dir = single_run_dir(tmp_path / "uncached")
     assert json.loads((run_dir / "manifest.json").read_text())["status"] == "ok"
     cached = single_run_dir(tmp_path / "cached") / "report.json"
@@ -494,12 +500,16 @@ def test_train_split_below_two_node_rows_exits_two_before_any_run_dir(tmp_path, 
 @pytest.mark.parametrize("argv", [
     ["cv", "--model", "gln"],                      # no batch norm
 ], ids=["cv-gln"])
-def test_split_below_two_node_rows_trains_where_nothing_normalizes_it(tmp_path, argv):
+@pytest.mark.filterwarnings(r"default:class \d+ has:UserWarning")
+def test_split_below_two_node_rows_trains_where_nothing_normalizes_it(tmp_path, capsys, argv):
     out = tmp_path / "runs"
-    with pytest.warns(UserWarning, match="fewer than k"):  # each class has one graph
-        assert run(argv + ["--dataset", str(_one_and_two_node_graphs(tmp_path)),
-                           "--epochs", "2", "--folds", "2", "--out", str(out)]) == 0
+    assert run(argv + ["--dataset", str(_one_and_two_node_graphs(tmp_path)),
+                       "--epochs", "2", "--folds", "2", "--out", str(out)]) == 0
     assert len(list(single_run_dir(out).glob("*.json"))) == 2  # manifest and the output
+    # each class has one graph
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: class {c} has 1 graphs, fewer than k=2; stratification is best-effort"
+        for c in (0, 1)]
 
 
 class TestManifest:

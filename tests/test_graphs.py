@@ -13,7 +13,9 @@ from gfnlab.graphs import (
     normalized_adjacency,
     stratified_kfold,
 )
-from gfnlab.sparse import block_diag
+from gfnlab.sparse import block_diag, from_coo
+
+from conftest import assert_same_csr
 
 
 class TestGraph:
@@ -110,6 +112,49 @@ class TestNormalizedAdjacency:
         at = normalized_adjacency(g, epsilon=3.0).matrix.to_dense()
         # degrees become 4; off-diagonal 1/4, diagonal 3/4
         np.testing.assert_allclose(at, [[0.75, 0.25], [0.25, 0.75]], atol=1e-15)
+
+
+def sorted_normalization(graph, epsilon):
+    """The normalization built through ``from_coo``'s stable sort: the graph's
+    entries, then one diagonal entry per row."""
+    n = graph.num_nodes
+    inv_sqrt = 1.0 / np.sqrt(node_degrees(graph) + epsilon)
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    dst = graph.indices
+    rows = np.concatenate([src, np.arange(n)])
+    cols = np.concatenate([dst, np.arange(n)])
+    vals = np.concatenate([inv_sqrt[src] * inv_sqrt[dst], epsilon * inv_sqrt**2])
+    return from_coo((n, n), rows, cols, vals)
+
+
+class TestDiagonalInsertion:
+    """The diagonal goes into the sorted rows without a sort, and the matrix is
+    the sorted normalization bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(graph, epsilon=1.0):
+        assert_same_csr(normalized_adjacency(graph, epsilon).matrix, sorted_normalization(graph, epsilon))
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    def test_small_and_isolated(self, epsilon):
+        for graph in (Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(4, []),
+                      Graph.from_edges(6, [(1, 4), (4, 5)]), Graph.from_edges(3, [(0, 2)])):
+            self.assert_bitwise(graph, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    def test_random_graphs(self, random_graph, epsilon):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            self.assert_bitwise(random_graph(rng, int(rng.integers(1, 30)), rng.random()), epsilon)
+
+    def test_stored_loops_and_repeats_keep_the_sorted_order(self):
+        # neither comes out of from_edges: a stored (1, 1) precedes the added
+        # diagonal entry and a repeated entry stays twice, as from_coo keeps them
+        self.assert_bitwise(Graph(3, [0, 2, 4, 6], [1, 1, 1, 1, 2, 2]))
+
+    def test_unsorted_rows_are_refused(self):
+        with pytest.raises(ValueError, match="column-sorted rows"):
+            normalized_adjacency(Graph(3, [0, 2, 3, 4], [2, 1, 0, 0]))
 
 
 def test_disjoint_union_adjacency_is_block_diagonal(random_graph):

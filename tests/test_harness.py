@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gfnlab.graphs import (
     Graph,
     generate_dense_synthetic,
     generate_synthetic_dataset,
+    normalized_adjacency,
 )
 from gfnlab import harness
 from gfnlab.features import FeatureSpec
@@ -27,6 +29,9 @@ from gfnlab.harness import (
     write_ablation_csv,
 )
 from gfnlab.models import MODEL_KINDS, ModelConfig, default_feature_spec, make_batch
+from gfnlab.tu import parse_tu_dataset
+
+from conftest import assert_same_csr, random_tu_files
 
 
 def tiny_config(**kw):
@@ -66,13 +71,64 @@ class TestPrepare:
         real = harness.normalized_adjacency
 
         def slow(graph, epsilon=1.0):
-            time.sleep(0.01)
+            time.sleep(0.08)  # one call builds every graph's adjacency
             return real(graph, epsilon)
 
         monkeypatch.setattr(harness, "normalized_adjacency", slow)
         ds = generate_synthetic_dataset(8, seed=0)
         _, seconds = prepare_dataset(ds, ModelConfig(kind="gcn", num_classes=2))
-        assert seconds >= 8 * 0.01
+        assert seconds >= 0.08
+
+
+def _gcn_config(epsilon):
+    return ModelConfig("gcn", 2, feature_spec=replace(default_feature_spec("gcn"), epsilon=epsilon))
+
+
+def _assert_adjacencies_graph_by_graph(dataset, epsilon):
+    prepared, _ = prepare_dataset(dataset, _gcn_config(epsilon))
+    assert len(prepared.adjacencies) == len(dataset)
+    for got, g in zip(prepared.adjacencies, dataset.graphs):
+        assert_same_csr(got, normalized_adjacency(g.graph, epsilon).matrix.astype(np.float32))
+
+
+class TestAdjacencies:
+    """gcn's per-graph adjacencies, cut from one normalization of the union,
+    equal each graph's own normalization bit for bit."""
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("generate", [generate_synthetic_dataset, generate_dense_synthetic])
+    def test_generated_corpora(self, generate, epsilon):
+        _assert_adjacencies_graph_by_graph(generate(24, seed=3), epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_random_tu_directories(self, tmp_path, epsilon):
+        rng = np.random.default_rng(29)
+        for trial in range(15):
+            d, _, _ = random_tu_files(rng, tmp_path / str(trial))
+            _assert_adjacencies_graph_by_graph(parse_tu_dataset(d, "rnd"), epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_a_graph_without_nodes(self, epsilon):
+        sizes_edges = [(3, [(0, 1), (1, 2)]), (0, []), (1, []), (4, [(0, 3)])]
+        graphs = [AttributedGraph(Graph.from_edges(n, e), np.ones((n, 1)), i % 2)
+                  for i, (n, e) in enumerate(sizes_edges)]
+        ds = Dataset("empty-graph", graphs, num_classes=2, feature_dim=1)
+        _assert_adjacencies_graph_by_graph(ds, epsilon)  # the empty graph's is (0, 0)
+
+    def test_one_normalization_per_prepare(self, monkeypatch):
+        calls = []
+        real = harness.normalized_adjacency
+
+        def counting(graph, epsilon=1.0):
+            calls.append(graph.num_nodes)
+            return real(graph, epsilon)
+
+        monkeypatch.setattr(harness, "normalized_adjacency", counting)
+        ds = generate_dense_synthetic(16, seed=1)
+        prepare_dataset(ds, ModelConfig(kind="gcn", num_classes=2))
+        assert calls == [sum(g.graph.num_nodes for g in ds.graphs)]
+        prepare_dataset(ds, ModelConfig(kind="gfn", num_classes=2))
+        assert len(calls) == 1  # gfn aggregates nothing: no adjacency
 
 
 class TestEpochSelection:

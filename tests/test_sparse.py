@@ -4,7 +4,9 @@ import pytest
 from gfnlab import sparse
 from gfnlab.graphs import generate_dense_synthetic, normalized_adjacency
 from gfnlab.models import ModelConfig, ModelInstance, make_batch
-from gfnlab.sparse import CSRMatrix, block_diag, from_coo, spmm
+from gfnlab.sparse import CSRMatrix, block_diag, from_coo, split_diagonal, spmm, stack_diagonal
+
+from conftest import assert_bitwise_equal
 
 
 def dense_from_coo(shape, rows, cols, vals):
@@ -27,11 +29,6 @@ def left_to_right(adj, x):
     return out
 
 
-def assert_bitwise_equal(got, expected):
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-
-
 def dense_batch(indices):
     """A gcn batch of ``generate_dense_synthetic`` graphs, built as training builds it."""
     dataset = generate_dense_synthetic(40, seed=41)
@@ -48,6 +45,11 @@ class TestCSRMatrix:
         expected[0, 1], expected[0, 3], expected[2, 0] = 1.0, 2.0, 3.0
         np.testing.assert_array_equal(m.to_dense(), expected)
         assert m.nnz == 3
+
+    def test_to_dense_sums_duplicates_as_spmm_does(self):
+        m = from_coo((2, 2), [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(m.to_dense(), [[0.0, 3.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(m.to_dense(), spmm(m, np.eye(2)))
 
     def test_equality_is_identity(self):
         a = from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
@@ -315,3 +317,29 @@ class TestBlockDiag:
         whole = spmm(block_diag(blocks), np.concatenate(xs, axis=0))
         parts = np.concatenate([spmm(b, x) for b, x in zip(blocks, xs)], axis=0)
         np.testing.assert_array_equal(whole, parts)
+
+
+class TestSplitDiagonal:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inverts_stack_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        patterns = []
+        for _ in range(int(rng.integers(1, 8))):
+            n = int(rng.integers(0, 6))  # 0: an empty block
+            rows, cols = np.nonzero(rng.random((n, n)) < rng.random())
+            m = from_coo((n, n), rows, cols, np.ones(rows.size))
+            patterns.append((n, m.indptr, m.indices))
+        n, indptr, indices = stack_diagonal(patterns)
+        blocks = list(split_diagonal([size for size, _, _ in patterns], indptr, indices))
+        assert len(blocks) == len(patterns)
+        start = 0
+        for (size, ptr, ix, entries), (want_size, want_ptr, want_ix) in zip(blocks, patterns):
+            assert size == want_size
+            assert_bitwise_equal(ptr, want_ptr)
+            assert_bitwise_equal(ix, want_ix)
+            assert entries == slice(start, start + want_ix.size)
+            start += want_ix.size
+        assert start == indices.size == indptr[-1] and n == sum(size for size, *_ in blocks)
+
+    def test_nothing_to_split(self):
+        assert list(split_diagonal([], np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))) == []

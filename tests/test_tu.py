@@ -4,7 +4,7 @@ import pytest
 from gfnlab.graphs import DataError, DatasetMeta, Graph
 from gfnlab.tu import KNOWN_DATASETS, _read_numbers, parse_tu_dataset
 
-from conftest import write_tu_files
+from conftest import random_tu_files, write_tu_files
 
 
 def test_minimal_two_node_dataset(tmp_path):
@@ -87,37 +87,10 @@ def test_interleaved_graph_indicator(tmp_path):
     np.testing.assert_array_equal(ds.graphs[1].node_features, [[0, 1, 0]])
 
 
-def _random_tu_files(rng, directory):
-    """A random TU layout with an interleaved indicator, non-contiguous graph
-    ids, isolated nodes, graphs without edges and edges listed once, twice,
-    reversed or repeated, in shuffled order. Returns the directory and, per
-    graph in id order, its global node ids (file order), its local edge list
-    and its raw label, and the raw node labels."""
-    num_graphs = int(rng.integers(1, 7))
-    ids = np.sort(rng.choice(np.arange(1, 40), num_graphs, replace=False))
-    indicator = rng.permutation(np.repeat(ids, rng.integers(1, 9, num_graphs)))
-    node_labels = rng.integers(0, 5, indicator.size)
-    graph_labels = rng.integers(-2, 3, num_graphs)
-    lines, graphs = [], []
-    for gid, label in zip(ids, graph_labels):
-        nodes = np.flatnonzero(indicator == gid)
-        pairs = rng.integers(0, nodes.size, (int(rng.integers(0, 2 * nodes.size)), 2))
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        graphs.append((nodes, pairs, label))
-        for u, v in nodes[pairs] + 1:
-            lines += [[f"{u} {v}"], [f"{v} {u}"], [f"{u} {v}", f"{v} {u}"],
-                      [f"{u} {v}"] * 3][int(rng.integers(4))]
-    d = write_tu_files(directory, "rnd", indicator=[str(i) for i in indicator],
-                       edges=[lines[i] for i in rng.permutation(len(lines))],
-                       graph_labels=[str(x) for x in graph_labels],
-                       node_labels=[str(x) for x in node_labels])
-    return d, graphs, node_labels
-
-
 def test_each_graph_equals_from_edges_on_its_own_local_edges(tmp_path):
     rng = np.random.default_rng(17)
     for trial in range(40):
-        d, graphs, node_labels = _random_tu_files(rng, tmp_path / str(trial))
+        d, graphs, node_labels = random_tu_files(rng, tmp_path / str(trial))
         ds = parse_tu_dataset(d, "rnd")
         onehot = node_labels[:, None] == np.unique(node_labels)
         classes = np.unique([label for _, _, label in graphs])
@@ -157,7 +130,7 @@ def test_one_from_edges_call_per_file(tmp_path, monkeypatch):
         return build(cls, num_nodes, edges)
 
     monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
-    d, graphs, node_labels = _random_tu_files(np.random.default_rng(3), tmp_path / "one")
+    d, graphs, node_labels = random_tu_files(np.random.default_rng(3), tmp_path / "one")
     ds = parse_tu_dataset(d, "rnd")
     assert len(ds) == len(graphs) and calls == [node_labels.size]
 
