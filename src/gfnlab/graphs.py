@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CSRMatrix, check_pattern, from_coo, stack_diagonal
+from .sparse import CSRMatrix, check_pattern, stack_diagonal
 
 
 class DataError(Exception):
@@ -58,19 +58,21 @@ class Graph:
         if loops.any():
             warnings.warn(f"dropping {int(loops.sum())} self-loop(s)", stacklevel=2)
             arr = arr[~loops]
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        # Deduplicate on one integer key per undirected edge. A sort and a
+        if int(num_nodes) ** 2 > 2**63:
+            raise ValueError(f"shape {(num_nodes, num_nodes)} has more cells than one int64 key "
+                             "can number")
+        u, v = arr.T
+        # One int64 key per stored direction, deduplicated by one sort and a
         # neighbour comparison, because np.unique may hash instead (numpy 2.3+),
         # which is many times slower on these keys.
-        keys = np.sort(lo * num_nodes + hi)
+        keys = np.concatenate([u * num_nodes + v, v * num_nodes + u])
+        keys.sort()
         keep = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        lo, hi = np.divmod(keys[keep], num_nodes)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        adj = from_coo((num_nodes, num_nodes), src, dst, np.ones(src.size, dtype=np.int8))
-        return cls(num_nodes, adj.indptr, adj.indices)
+        rows, cols = np.divmod(keys[keep], num_nodes)
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        return cls(num_nodes, indptr, cols)
 
 
 @dataclass
@@ -157,16 +159,12 @@ def normalized_adjacency(graph: Graph, epsilon: float = 1.0) -> NormalizedAdjace
     dst = graph.indices
     if ((dst[1:] < dst[:-1]) & (src[1:] == src[:-1])).any():
         raise ValueError("normalized_adjacency needs column-sorted rows")
-    # entries move right by their row index, one more past the diagonal; free slots take the diagonal
-    pos = src + (dst > src)
-    pos += np.arange(dst.size)  # in place, like vals: fewer transient arrays, a lower peak RSS
-    diagonal = np.ones(dst.size + n, dtype=bool)
-    diagonal[pos] = False
-    indices, data = np.empty(dst.size + n, dtype=np.int64), np.empty(dst.size + n)
-    indices[pos], indices[diagonal] = dst, np.arange(n)
     vals = inv_sqrt[src]
-    vals *= inv_sqrt[dst]
-    data[pos], data[diagonal] = vals, epsilon * inv_sqrt**2
+    vals *= inv_sqrt[dst]  # in place: fewer transient arrays, a lower peak RSS
+    # each row's diagonal goes after its entries at columns up to the row's own
+    at = graph.indptr[:-1] + np.bincount(src[dst <= src], minlength=n)
+    indices = np.insert(dst, at, np.arange(n))
+    data = np.insert(vals, at, epsilon * inv_sqrt**2)
     return NormalizedAdjacency(CSRMatrix((n, n), graph.indptr + np.arange(n + 1), indices, data))
 
 

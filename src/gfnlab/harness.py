@@ -39,6 +39,8 @@ class TrainConfig:
             raise ValueError("epochs/batch_size/jobs must be >= 1 and folds >= 2")
         if not 0 <= self.lr < float("inf"):  # also false for nan
             raise ValueError("lr must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -234,7 +236,8 @@ def run_cv(
     tasks = [(f, plan.train_indices(f), plan.test_indices(f)) for f in range(train_config.folds)]
     if train_config.jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=train_config.jobs,
+            # under fork, every worker starts up front: no more than one per fold
+            max_workers=min(train_config.jobs, train_config.folds),
             initializer=_init_worker,
             initargs=(prepared, model_config, train_config),
         ) as pool:

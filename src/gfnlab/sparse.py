@@ -68,27 +68,6 @@ class CSRMatrix:
         return out
 
 
-def from_coo(shape: tuple[int, int], rows, cols, vals) -> CSRMatrix:
-    """Build a CSR matrix from coordinate triplets (duplicates not merged, and
-    kept in input order).
-
-    Entries are ordered by one stable sort of the int64 key ``row * ncols +
-    col``, so ``nrows * ncols`` may be at most ``2**63``.
-    """
-    nrows, ncols = shape
-    if int(nrows) * int(ncols) > 2**63:
-        raise ValueError(f"shape {shape} has more cells than one int64 key can number")
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals)
-    if rows.size and (rows.min() < 0 or rows.max() >= nrows):
-        raise ValueError("row index out of range")
-    order = np.argsort(rows * ncols + cols, kind="stable")
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-    return CSRMatrix(shape, indptr, cols[order], vals[order])
-
-
 def plan_sweep(adj: CSRMatrix) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The jagged-diagonal sweep of ``adj``: rows ordered by entry count,
     longest first (stable), so that the rows holding a ``k``-th entry are a

@@ -35,6 +35,16 @@ def assert_same_csr(got, want):
         assert_bitwise_equal(a, b)
 
 
+def lexsort_from_coo(shape, rows, cols, vals) -> CSRMatrix:
+    """Reference CSR build from coordinate triplets: a two-key lexsort, so
+    duplicates keep their input order, and per-entry row counts."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.add.at(indptr, rows[order] + 1, 1)
+    return CSRMatrix(shape, np.cumsum(indptr), cols[order], np.asarray(vals)[order])
+
+
 def write_tu_files(directory, name, indicator, edges, graph_labels,
                    node_labels=None, node_attributes=None):
     """Lay out a benchmark directory from python lists of text lines."""

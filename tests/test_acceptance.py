@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import collapse_linear_gcn, finite_difference_grad
+from conftest import collapse_linear_gcn, finite_difference_grad, lexsort_from_coo
 from gfnlab.cli import main as cli_main
 from gfnlab.cli import resolve_dataset
 from gfnlab.features import FeatureSpec, augment
@@ -47,7 +47,7 @@ from gfnlab.nn import (
     segment_sum_backward,
     softmax_cross_entropy,
 )
-from gfnlab.sparse import from_coo, spmm
+from gfnlab.sparse import spmm
 
 # reports from benchmark cv runs, shared between checks 5 and 6 so the suite
 # never trains the same configuration twice
@@ -291,7 +291,7 @@ def test_c4_sparse_kernel_oracle():
         # arbitrary weighted sparse matrix, not just adjacencies
         mask = rng.random((n, n)) < 0.4
         rows, cols = np.nonzero(mask)
-        m = from_coo((n, n), rows, cols, rng.standard_normal(rows.size))
+        m = lexsort_from_coo((n, n), rows, cols, rng.standard_normal(rows.size))
         worst_prod = max(worst_prod,
                          float(np.abs(spmm(m, X) - m.to_dense() @ X).max()))
         ev = np.linalg.eigvalsh(at.to_dense())

@@ -129,6 +129,7 @@ BAD_OPTION_CASES = {
     "config-model-not-a-kind": (["cv"], {"model": "mlp"}),
     "nan-lr": (["cv", "--model", "gln", "--lr", "nan", "--epochs", "1", "--folds", "2"], None),
     "inf-lr": (["cv", "--model", "gln", "--lr", "inf", "--epochs", "1", "--folds", "2"], None),
+    "negative-seed": (["cv", "--seed", "-1", "--epochs", "1", "--folds", "2"], None),
     "ablate-without-axis": (["ablate"], None),
     "config-k-on-features-axis": (["ablate", "--axis", "features", "--epochs", "1", "--folds",
                                    "2"], {"k": 3}),
@@ -152,6 +153,8 @@ def test_bad_options_exit_two_before_any_run_dir(tmp_path, capsys, case):
     assert "usage error:" in err
     assert "Traceback" not in err
     assert not out.exists()
+    if case == "negative-seed":
+        assert "seed" in err
 
 
 UNUSABLE_OUT_CASES = {

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from gfnlab.graphs import (
     normalized_adjacency,
     stratified_kfold,
 )
-from gfnlab.sparse import block_diag, from_coo
+from gfnlab.sparse import block_diag
 
-from conftest import assert_same_csr
+from conftest import assert_same_csr, lexsort_from_coo
 
 
 class TestGraph:
@@ -26,18 +28,33 @@ class TestGraph:
         np.testing.assert_array_equal(g.indices[g.indptr[0] : g.indptr[1]], [1])
 
     def test_from_edges_matches_sorted_neighbour_sets(self):
+        # TU-shaped lists too: every edge in both directions, with repeats and
+        # self-loops, shuffled, on up to a few thousand nodes
         rng = np.random.default_rng(5)
-        for _ in range(30):
-            n = int(rng.integers(1, 40))
-            edges = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
-            edges = edges[edges[:, 0] != edges[:, 1]]
+        sizes = [0, 1] + [int(x) for x in rng.integers(1, 40, 30)] + [500, 3000]
+        for trial, n in enumerate(sizes):
+            edges = rng.integers(0, max(n, 1), (int(rng.integers(0, 3 * n + 1)), 2))
+            if trial % 2:
+                edges = np.concatenate([edges, edges[:, ::-1], edges[: edges.shape[0] // 3]])
+                edges = rng.permutation(edges)
+            loops = edges[:, 0] == edges[:, 1]
             neighbours = [set() for _ in range(n)]
-            for u, v in edges.tolist():
+            for u, v in edges[~loops].tolist():
                 neighbours[u].add(v)
                 neighbours[v].add(u)
-            g = Graph.from_edges(n, edges)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g = Graph.from_edges(n, edges)
+            assert [str(w.message) for w in caught] == (
+                [f"dropping {int(loops.sum())} self-loop(s)"] if loops.any() else [])
             np.testing.assert_array_equal(g.indptr, np.cumsum([0] + [len(s) for s in neighbours]))
             np.testing.assert_array_equal(g.indices, [v for s in neighbours for v in sorted(s)])
+
+    # edges are checked and no array is sized by the node count before this refusal
+    @pytest.mark.parametrize("num_nodes", [3037000500, 2**32, 2**62])
+    def test_more_nodes_than_one_int64_key_can_pair(self, num_nodes):
+        with pytest.raises(ValueError, match="int64"):
+            Graph.from_edges(num_nodes, [(0, 1)])
 
     def test_self_loops_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="self-loop"):
@@ -115,8 +132,8 @@ class TestNormalizedAdjacency:
 
 
 def sorted_normalization(graph, epsilon):
-    """The normalization built through ``from_coo``'s stable sort: the graph's
-    entries, then one diagonal entry per row."""
+    """The normalization built by a stable sort of the graph's entries, then
+    one diagonal entry per row."""
     n = graph.num_nodes
     inv_sqrt = 1.0 / np.sqrt(node_degrees(graph) + epsilon)
     src = np.repeat(np.arange(n), np.diff(graph.indptr))
@@ -124,7 +141,7 @@ def sorted_normalization(graph, epsilon):
     rows = np.concatenate([src, np.arange(n)])
     cols = np.concatenate([dst, np.arange(n)])
     vals = np.concatenate([inv_sqrt[src] * inv_sqrt[dst], epsilon * inv_sqrt**2])
-    return from_coo((n, n), rows, cols, vals)
+    return lexsort_from_coo((n, n), rows, cols, vals)
 
 
 class TestDiagonalInsertion:
@@ -149,8 +166,10 @@ class TestDiagonalInsertion:
 
     def test_stored_loops_and_repeats_keep_the_sorted_order(self):
         # neither comes out of from_edges: a stored (1, 1) precedes the added
-        # diagonal entry and a repeated entry stays twice, as from_coo keeps them
-        self.assert_bitwise(Graph(3, [0, 2, 4, 6], [1, 1, 1, 1, 2, 2]))
+        # diagonal entry and a repeated entry stays twice, as a stable sort keeps
+        # them; at epsilon 1 the loop and the diagonal hold the same value
+        for epsilon in (0.5, 1.0, 2.0):
+            self.assert_bitwise(Graph(3, [0, 2, 4, 6], [1, 1, 1, 1, 2, 2]), epsilon)
 
     def test_unsorted_rows_are_refused(self):
         with pytest.raises(ValueError, match="column-sorted rows"):

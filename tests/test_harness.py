@@ -215,18 +215,22 @@ class TestTrainFold:
 
     def test_deeper_stacks_cost_more_time(self):
         """Workload monotonicity: tripling the aggregating layers must not
-        come for free. Uses the edge-dense corpus so compute dominates noise."""
+        come for free. Uses the edge-dense corpus so compute dominates noise.
+        A process's first BLAS work can run ten times slower than later work,
+        so the depths alternate for three rounds and each keeps its fastest
+        epoch after the first."""
         ds = generate_dense_synthetic(32, seed=11)
         shallow = ModelConfig(kind="gcn", num_classes=2, num_conv_layers=1)
         deep = ModelConfig(kind="gcn", num_classes=2, num_conv_layers=3)
         cfg = TrainConfig(epochs=5, batch_size=16, folds=2, seed=0)
-        medians = []
-        for model_cfg in (shallow, deep):
-            prepared, _ = prepare_dataset(ds, model_cfg)
-            idx = np.arange(len(ds))
-            trace = train_fold(prepared, model_cfg, cfg, 0, idx[:24], idx[24:])
-            medians.append(float(np.median(trace.epoch_seconds[1:])))
-        assert medians[1] > medians[0]
+        idx = np.arange(len(ds))
+        runs = [(model_cfg, prepare_dataset(ds, model_cfg)[0]) for model_cfg in (shallow, deep)]
+        fastest = [float("inf")] * 2
+        for _ in range(3):
+            for i, (model_cfg, prepared) in enumerate(runs):
+                trace = train_fold(prepared, model_cfg, cfg, 0, idx[:24], idx[24:])
+                fastest[i] = min(fastest[i], *trace.epoch_seconds[1:])
+        assert fastest[1] > fastest[0]
 
 
 class TestRunCV:
@@ -259,6 +263,31 @@ class TestRunCV:
         assert serial.pop("train_config")["jobs"] == 1
         assert parallel.pop("train_config")["jobs"] == 2
         assert serial == parallel
+
+    def test_jobs_above_the_fold_count_start_one_worker_per_fold(self, monkeypatch):
+        started = []
+
+        class InProcessPool:  # records the pool size and maps in this process
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_WORKER_STATE", {})
+        ds = generate_synthetic_dataset(16, seed=4)
+        cfg = ModelConfig(kind="gln", num_classes=2)
+        for jobs in (64, 2):
+            run_cv(ds, cfg, tiny_config(epochs=1, folds=3, jobs=jobs))
+        assert started == [3, 2]
 
     def test_report_fields(self):
         ds = generate_synthetic_dataset(16, seed=5)

@@ -4,9 +4,9 @@ import pytest
 from gfnlab import sparse
 from gfnlab.graphs import generate_dense_synthetic, normalized_adjacency
 from gfnlab.models import ModelConfig, ModelInstance, make_batch
-from gfnlab.sparse import CSRMatrix, block_diag, from_coo, split_diagonal, spmm, stack_diagonal
+from gfnlab.sparse import CSRMatrix, block_diag, split_diagonal, spmm, stack_diagonal
 
-from conftest import assert_bitwise_equal
+from conftest import assert_bitwise_equal, lexsort_from_coo
 
 
 def dense_from_coo(shape, rows, cols, vals):
@@ -40,29 +40,29 @@ def dense_batch(indices):
 
 class TestCSRMatrix:
     def test_round_trip_to_dense(self):
-        m = from_coo((3, 4), [0, 0, 2], [1, 3, 0], [1.0, 2.0, 3.0])
+        m = lexsort_from_coo((3, 4), [0, 0, 2], [1, 3, 0], [1.0, 2.0, 3.0])
         expected = np.zeros((3, 4))
         expected[0, 1], expected[0, 3], expected[2, 0] = 1.0, 2.0, 3.0
         np.testing.assert_array_equal(m.to_dense(), expected)
         assert m.nnz == 3
 
     def test_to_dense_sums_duplicates_as_spmm_does(self):
-        m = from_coo((2, 2), [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
+        m = lexsort_from_coo((2, 2), [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(m.to_dense(), [[0.0, 3.0], [3.0, 0.0]])
         np.testing.assert_array_equal(m.to_dense(), spmm(m, np.eye(2)))
 
     def test_equality_is_identity(self):
-        a = from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
-        b = from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
+        a = lexsort_from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
+        b = lexsort_from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
         assert a == a and a != b  # equal arrays, but == compares identity and never raises
         assert [b, a].index(a) == 1
 
     def test_rows_are_column_sorted(self):
-        m = from_coo((2, 5), [0, 0, 0], [4, 1, 2], [1.0, 2.0, 3.0])
+        m = lexsort_from_coo((2, 5), [0, 0, 0], [4, 1, 2], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(m.indices, [1, 2, 4])
 
     def test_astype_changes_dtype_only(self):
-        m = from_coo((2, 2), [0, 1], [1, 0], [1.5, 2.5])
+        m = lexsort_from_coo((2, 2), [0, 1], [1, 0], [1.5, 2.5])
         f32 = m.astype(np.float32)
         assert f32.data.dtype == np.float32
         np.testing.assert_array_equal(f32.indices, m.indices)
@@ -90,62 +90,9 @@ class TestCSRMatrix:
             CSRMatrix((2, 2), [0, 1, 2], [0, 1], data)
 
     def test_arrays_are_read_only(self):
-        m = from_coo((2, 2), [0], [0], [1.0])
+        m = lexsort_from_coo((2, 2), [0], [0], [1.0])
         with pytest.raises(ValueError):
             m.data[0] = 9.0
-
-
-def lexsort_from_coo(shape, rows, cols, vals):
-    """Reference CSR build: a two-key lexsort and per-entry row counts."""
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.add.at(indptr, rows[order] + 1, 1)
-    return np.cumsum(indptr), cols[order], vals[order]
-
-
-class TestFromCoo:
-    def test_matches_lexsort_and_add_at(self):
-        rng = np.random.default_rng(29)
-        for trial in range(300):
-            nr, nc = (int(x) for x in rng.integers(0, 12, size=2))
-            count = int(rng.integers(0, 60)) if nr and nc else 0
-            # few distinct coordinates, so many repeat; every value is distinct
-            rows = rng.integers(0, max(1, nr // 2 + trial % 2 * nr // 2), count)
-            cols = rng.integers(0, max(1, nc), count)
-            vals = rng.permutation(count) + rng.random(count)
-            m = from_coo((nr, nc), rows, cols, vals)
-            indptr, indices, data = lexsort_from_coo((nr, nc), rows, cols, vals)
-            assert m.shape == (nr, nc)
-            assert_bitwise_equal(m.indptr, indptr)
-            assert_bitwise_equal(m.indices, indices)
-            assert_bitwise_equal(m.data, data)
-
-    def test_zero_by_zero(self):
-        m = from_coo((0, 0), [], [], np.zeros(0))
-        assert m.shape == (0, 0) and m.nnz == 0
-        np.testing.assert_array_equal(m.indptr, [0])
-
-    def test_duplicates_keep_their_input_order(self):
-        m = from_coo((2, 3), [1, 0, 1, 1, 0], [2, 1, 0, 2, 1], [1.0, 2.0, 3.0, 4.0, 5.0])
-        np.testing.assert_array_equal(m.indptr, [0, 2, 5])
-        np.testing.assert_array_equal(m.indices, [1, 1, 0, 2, 2])
-        np.testing.assert_array_equal(m.data, [2.0, 5.0, 3.0, 1.0, 4.0])
-
-    @pytest.mark.parametrize("row", [-1, 2])
-    def test_row_out_of_range(self, row):
-        with pytest.raises(ValueError, match="row index out of range"):
-            from_coo((2, 2), [0, row], [1, 0], [1.0, 2.0])
-
-    # few rows, so that no shape here allocates much however its check goes
-    @pytest.mark.parametrize("shape", [(2, 2**62 + 1), (3, 2**62), (5, 2**61 + 1)])
-    def test_shape_too_large_for_one_int64_key(self, shape):
-        with pytest.raises(ValueError, match="int64"):
-            from_coo(shape, [0], [0], [1.0])
-
-    def test_largest_keyable_shape(self):
-        m = from_coo((2, 2**62), [1, 1, 0], [2**62 - 1, 0, 5], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(m.indptr, [0, 1, 3])
-        np.testing.assert_array_equal(m.indices, [5, 0, 2**62 - 1])
 
 
 class TestSpmm:
@@ -157,12 +104,12 @@ class TestSpmm:
             mask = rng.random((nr, nc)) < density
             rows, cols = np.nonzero(mask)
             vals = rng.standard_normal(rows.size)
-            m = from_coo((int(nr), int(nc)), rows, cols, vals)
+            m = lexsort_from_coo((int(nr), int(nc)), rows, cols, vals)
             x = rng.standard_normal((int(nc), int(k)))
             np.testing.assert_allclose(spmm(m, x), m.to_dense() @ x, atol=1e-12, rtol=0)
 
     def test_empty_rows_stay_zero(self):
-        m = from_coo((4, 3), [1, 3], [0, 2], [2.0, 5.0])
+        m = lexsort_from_coo((4, 3), [1, 3], [0, 2], [2.0, 5.0])
         x = np.ones((3, 2))
         out = spmm(m, x)
         np.testing.assert_array_equal(out[0], 0)
@@ -170,17 +117,17 @@ class TestSpmm:
         np.testing.assert_array_equal(out[1], [2.0, 2.0])
 
     def test_all_empty(self):
-        m = from_coo((3, 3), [], [], [])
+        m = lexsort_from_coo((3, 3), [], [], [])
         out = spmm(m, np.ones((3, 4)))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_shape_mismatch_raises(self):
-        m = from_coo((2, 3), [0], [0], [1.0])
+        m = lexsort_from_coo((2, 3), [0], [0], [1.0])
         with pytest.raises(ValueError):
             spmm(m, np.ones((4, 2)))
 
     def test_vector_operand_rejected(self):
-        m = from_coo((2, 2), [0], [0], [1.0])
+        m = lexsort_from_coo((2, 2), [0], [0], [1.0])
         with pytest.raises(ValueError):
             spmm(m, np.ones(2))
 
@@ -190,7 +137,8 @@ class TestSpmm:
         rows = np.concatenate([np.zeros(9), np.ones(200), [2, 2, 4]]).astype(int)
         cols = np.concatenate([rng.choice(300, 9, replace=False),
                                rng.choice(300, 200, replace=False), [5, 7, 0]])
-        m = from_coo((5, 300), rows, cols, rng.standard_normal(rows.size).astype(np.float32))
+        vals = rng.standard_normal(rows.size).astype(np.float32)
+        m = lexsort_from_coo((5, 300), rows, cols, vals)
         x = rng.standard_normal((300, 16)).astype(np.float32)
         out = spmm(m, x)
         assert out.dtype == np.float32
@@ -198,31 +146,31 @@ class TestSpmm:
 
     def test_duplicate_entries_are_summed(self):
         rows, cols, vals = [0, 0, 0, 2], [1, 1, 2, 0], [1.0, 2.0, 4.0, 8.0]
-        m = from_coo((3, 3), rows, cols, vals)
+        m = lexsort_from_coo((3, 3), rows, cols, vals)
         x = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(spmm(m, x), dense_from_coo((3, 3), rows, cols, vals) @ x)
 
     def test_float32_matrix_with_float64_operand_gives_float64(self):
         rng = np.random.default_rng(2)
-        m = from_coo((6, 6), rng.integers(0, 6, 20), rng.integers(0, 6, 20),
-                     rng.standard_normal(20)).astype(np.float32)
+        m = lexsort_from_coo((6, 6), rng.integers(0, 6, 20), rng.integers(0, 6, 20),
+                             rng.standard_normal(20)).astype(np.float32)
         x = rng.standard_normal((6, 3))
         out = spmm(m, x)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, left_to_right(m, x))
 
     def test_zero_width_operand(self):
-        m = from_coo((3, 3), [0, 1], [1, 2], [1.0, 2.0])
+        m = lexsort_from_coo((3, 3), [0, 1], [1, 2], [1.0, 2.0])
         assert spmm(m, np.ones((3, 0))).shape == (3, 0)
 
     def test_matrix_with_zero_rows(self):
-        m = from_coo((0, 3), [], [], [])
+        m = lexsort_from_coo((0, 3), [], [], [])
         assert spmm(m, np.ones((3, 4))).shape == (0, 4)
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(5)
-        m = from_coo((50, 50), rng.integers(0, 50, 300), rng.integers(0, 50, 300),
-                     rng.standard_normal(300))
+        m = lexsort_from_coo((50, 50), rng.integers(0, 50, 300), rng.integers(0, 50, 300),
+                             rng.standard_normal(300))
         x = rng.standard_normal((50, 7)).astype(np.float32)
         a = spmm(m.astype(np.float32), x)
         b = spmm(m.astype(np.float32), x)
@@ -235,7 +183,7 @@ class TestSweepPlan:
         rows = [1, 1, 1, 2, 2, 4, 6, 6, 6, 6]
         cols = [0, 2, 4, 1, 3, 0, 1, 2, 3, 4]
         vals = [0.5, -1.25, 2.0, 1.5, 3.0, -0.0, 0.25, -0.75, 1.0, 4.0]
-        m = from_coo((7, 5), rows, cols, vals)
+        m = lexsort_from_coo((7, 5), rows, cols, vals)
         rng = np.random.default_rng(8)
         strided = rng.standard_normal((5, 8))[:, 2:6]  # a column slice, as the precompute passes
         for x in (rng.standard_normal((5, 3)), rng.standard_normal((5, 5)).astype(np.float32),
@@ -279,7 +227,7 @@ class TestBlockDiag:
             mask = rng.random((n, n)) < 0.5
             rows, cols = np.nonzero(mask)
             vals = rng.standard_normal(rows.size)
-            blocks.append(from_coo((n, n), rows, cols, vals))
+            blocks.append(lexsort_from_coo((n, n), rows, cols, vals))
             denses.append(blocks[-1].to_dense())
         stacked = block_diag(blocks)
         total = sum(d.shape[0] for d in denses)
@@ -291,7 +239,7 @@ class TestBlockDiag:
         np.testing.assert_array_equal(stacked.to_dense(), expected)
 
     def test_single_block_identity(self):
-        m = from_coo((2, 2), [0, 1], [1, 0], [1.0, 1.0])
+        m = lexsort_from_coo((2, 2), [0, 1], [1, 0], [1.0, 1.0])
         np.testing.assert_array_equal(block_diag([m]).to_dense(), m.to_dense())
 
     def test_empty_list_rejected(self):
@@ -299,8 +247,8 @@ class TestBlockDiag:
             block_diag([])
 
     def test_non_square_block_rejected(self):
-        square = from_coo((2, 2), [0, 1], [1, 0], [1.0, 1.0])
-        wide = from_coo((2, 3), [0], [2], [1.0])
+        square = lexsort_from_coo((2, 2), [0, 1], [1, 0], [1.0, 1.0])
+        wide = lexsort_from_coo((2, 3), [0], [2], [1.0])
         with pytest.raises(ValueError, match=r"square, got shape \(2, 3\)"):
             block_diag([square, wide])
 
@@ -312,7 +260,7 @@ class TestBlockDiag:
         for n in sizes:
             mask = rng.random((n, n)) < 0.6
             rows, cols = np.nonzero(mask)
-            blocks.append(from_coo((n, n), rows, cols, rng.standard_normal(rows.size)))
+            blocks.append(lexsort_from_coo((n, n), rows, cols, rng.standard_normal(rows.size)))
             xs.append(rng.standard_normal((n, 4)))
         whole = spmm(block_diag(blocks), np.concatenate(xs, axis=0))
         parts = np.concatenate([spmm(b, x) for b, x in zip(blocks, xs)], axis=0)
@@ -327,7 +275,7 @@ class TestSplitDiagonal:
         for _ in range(int(rng.integers(1, 8))):
             n = int(rng.integers(0, 6))  # 0: an empty block
             rows, cols = np.nonzero(rng.random((n, n)) < rng.random())
-            m = from_coo((n, n), rows, cols, np.ones(rows.size))
+            m = lexsort_from_coo((n, n), rows, cols, np.ones(rows.size))
             patterns.append((n, m.indptr, m.indices))
         n, indptr, indices = stack_diagonal(patterns)
         blocks = list(split_diagonal([size for size, _, _ in patterns], indptr, indices))
