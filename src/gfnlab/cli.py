@@ -153,7 +153,7 @@ def resolve_dataset(name_or_path: str, data_root: str) -> Dataset:
     for directory, name in candidates:
         if (directory / f"{name}_A.txt").is_file():
             return parse_tu_dataset(directory, name)
-    tried = ", ".join(str(d) for d, _ in candidates)
+    tried = ", ".join(dict.fromkeys(str(d) for d, _ in candidates))  # an absolute path repeats
     builtin = ", ".join(repr(name) for name in BUILTIN_CORPORA)
     raise DataError(
         f"dataset {name_or_path!r} not found (tried: {tried}). Use {builtin}, a benchmark "

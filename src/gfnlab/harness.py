@@ -108,19 +108,13 @@ def _batched_indices(indices: np.ndarray, batch_size: int):
         yield indices[start : start + batch_size]
 
 
-def evaluate(
-    model: ModelInstance,
-    prepared: PreparedDataset,
-    indices: np.ndarray,
-    batch_size: int,
-) -> float:
-    """Accuracy over ``indices`` in eval mode."""
+def evaluate(model: ModelInstance, batches: list[BatchedGraphs]) -> float:
+    """Accuracy over the graphs of ``batches`` in eval mode."""
     correct = 0
-    for idx in _batched_indices(indices, batch_size):
-        batch = _gather_batch(prepared, idx)
+    for batch in batches:
         logits = model.forward(batch, train=False)
         correct += int((logits.argmax(axis=1) == batch.labels).sum())
-    return correct / indices.size
+    return correct / sum(batch.labels.size for batch in batches)
 
 
 def train_fold(
@@ -132,8 +126,8 @@ def train_fold(
     test_idx: np.ndarray,
 ) -> FoldTrace:
     """Train one fold. Train accuracy/loss come from the training passes
-    themselves (no second sweep); test metrics are a separate eval-mode pass.
-    Epoch timing covers the parameter-update loop only."""
+    themselves (no second sweep); test accuracy from an eval-mode pass over
+    test batches built once per fold. Epoch timing covers the update loop only."""
     model = ModelInstance(
         model_config,
         prepared.input_dim,
@@ -141,10 +135,10 @@ def train_fold(
     )
     trace = FoldTrace(fold=fold, train_size=int(train_idx.size), test_size=int(test_idx.size))
     num_nodes = np.array([f.shape[0] for f in prepared.features])
+    test_batches = [_gather_batch(prepared, idx)
+                    for idx in _batched_indices(test_idx, train_config.batch_size)]
     for epoch in range(train_config.epochs):
-        shuffle = np.random.default_rng(
-            np.random.SeedSequence((train_config.seed, fold, epoch))
-        )
+        shuffle = np.random.default_rng(np.random.SeedSequence((train_config.seed, fold, epoch)))
         order = train_idx[shuffle.permutation(train_idx.size)]
         # batch norm needs two node rows in train mode: a batch with fewer
         # takes in the batch after it, or joins the one before when it is last
@@ -170,7 +164,7 @@ def train_fold(
         trace.epoch_seconds.append(time.perf_counter() - t0)
         trace.train_acc.append(correct / train_idx.size)
         trace.train_loss.append(loss_sum / train_idx.size)
-        trace.test_acc.append(evaluate(model, prepared, test_idx, train_config.batch_size))
+        trace.test_acc.append(evaluate(model, test_batches))
     return trace
 
 

@@ -169,6 +169,7 @@ def make_batch(
     """Stack per-graph feature matrices (and optionally adjacencies) into a batch."""
     seg = SegmentIndex.from_sizes([f.shape[0] for f in features])
     stacked = np.concatenate(features, axis=0)
+    stacked.setflags(write=False)  # an eval batch is scored again every epoch
     adj = sparse.block_diag(adjacencies) if adjacencies is not None else None
     return BatchedGraphs(stacked, seg, np.asarray(labels, dtype=np.int64), adj)
 

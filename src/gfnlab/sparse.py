@@ -8,24 +8,29 @@ from functools import cached_property
 import numpy as np
 
 
+def _frozen(values, dtype=None) -> np.ndarray:
+    """Read-only ``values``, copied if a view: its base could change it after a check."""
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    arr = arr if arr.flags.owndata else arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def check_pattern(shape: tuple[int, int], indptr, indices) -> tuple[np.ndarray, np.ndarray]:
     """Check that a CSR pattern (``indptr`` and ``indices``, without values)
-    describes a matrix of ``shape``, and return both as read-only int64 arrays.
+    describes a matrix of ``shape``, and return both as ``_frozen`` int64 arrays.
 
     ``indptr`` has one entry per row plus one, starts at 0, never decreases
     and ends at the entry count; every index is a column in range.
     """
     nrows, ncols = shape
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    indptr, indices = _frozen(indptr, np.int64), _frozen(indices, np.int64)
     if indptr.shape != (nrows + 1,):
         raise ValueError(f"indptr must have length {nrows + 1}, got {indptr.shape}")
     if indptr[0] != 0 or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any():
         raise ValueError("indptr must start at 0, never decrease and end at the entry count")
     if indices.size and (indices.min() < 0 or indices.max() >= ncols):
         raise ValueError("column index out of range")
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
     return indptr, indices
 
 
@@ -44,9 +49,9 @@ class CSRMatrix:
 
     def __post_init__(self):
         self.indptr, self.indices = check_pattern(self.shape, self.indptr, self.indices)
+        self.data = _frozen(self.data)
         if self.data.shape != self.indices.shape:
             raise ValueError(f"data must hold one value per entry ({self.nnz}), got {self.data.shape}")
-        self.data.setflags(write=False)
 
     @property
     def nnz(self) -> int:

@@ -54,6 +54,13 @@ class TestCvCommand:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_missing_absolute_path_is_listed_once(self, tmp_path, capsys):
+        """Under the data root an absolute path is itself, so each form it
+        was tried in is the same path: the message names it once."""
+        missing = str(tmp_path / "no" / "such" / "set")
+        assert run(["cv", "--dataset", missing, "--out", str(tmp_path / "r")]) == 1
+        assert f"not found (tried: {missing}). Use" in capsys.readouterr().err
+
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 3, "folds": 2, "model": "gln"}))

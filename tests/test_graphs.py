@@ -91,6 +91,16 @@ class TestGraph:
         with pytest.raises(ValueError, match="indptr must start at 0, never decrease"):
             Graph(num_nodes, indptr, indices)
 
+    def test_a_write_through_a_views_base_leaves_the_graph_alone(self):
+        """A graph checked on views owns copies, so a later write to their
+        bases cannot put a column out of range behind its check."""
+        indices_base = np.array([1, 0, 5])
+        g = Graph(2, np.array([0, 1, 2]), indices_base[:2])
+        indices_base[:2] = 7
+        np.testing.assert_array_equal(g.indices, [1, 0])
+        expected = normalized_adjacency(Graph.from_edges(2, [(0, 1)])).matrix.to_dense()
+        np.testing.assert_array_equal(normalized_adjacency(g).matrix.to_dense(), expected)
+
 
 class TestNormalizedAdjacency:
     def test_two_node_path_hand_value(self):

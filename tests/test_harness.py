@@ -181,7 +181,7 @@ class TestTrainFold:
         train_config = TrainConfig(epochs=1, batch_size=9, folds=2)
         report = run_cv(ds, ModelConfig("gfn-light", 2), train_config)
         assert len(report.per_fold_acc) == 2
-        assert sizes == [10, 9, 1] * 2  # one merged train batch, then the eval batches per fold
+        assert sizes == [9, 1, 10] * 2  # the eval batches, then one merged train batch per fold
 
     def test_one_row_batch_joins_the_next_batch(self, monkeypatch):
         """Single-node graphs in batches of one: each one-row batch takes in
@@ -197,7 +197,22 @@ class TestTrainFold:
 
         monkeypatch.setattr(harness, "make_batch", recording_make_batch)
         run_cv(ds, ModelConfig("gfn", 2), TrainConfig(epochs=1, batch_size=1, folds=2))
-        assert sizes == ([2] * 5 + [1] * 10) * 2  # train batches, then eval batches per fold
+        assert sizes == ([1] * 10 + [2] * 5) * 2  # eval batches, then train batches per fold
+
+    def test_each_folds_test_batches_are_built_once(self, monkeypatch):
+        """A fold batches its test split before the first epoch and scores
+        the same batches every epoch; only the train batches are rebuilt."""
+        ds = generate_synthetic_dataset(40, seed=3)  # 20 train and 20 test graphs a fold
+        sizes = []
+
+        def recording_make_batch(features, labels, adjacencies=None):
+            sizes.append(len(features))
+            return make_batch(features, labels, adjacencies)
+
+        monkeypatch.setattr(harness, "make_batch", recording_make_batch)
+        run_cv(ds, ModelConfig("gcn", 2, hidden_dim=8), tiny_config(epochs=3, batch_size=8))
+        train_batches = test_batches = [8, 8, 4]
+        assert sizes == (test_batches + train_batches * 3) * 2
 
     def test_trace_json_form_has_no_timings(self):
         """Epoch and precompute wall times stay out of report.json at any

@@ -273,6 +273,13 @@ class TestForward:
         pooled = np.stack([f.sum(axis=0) for f in feats])
         np.testing.assert_allclose(logits, pooled @ W + b, atol=1e-5)
 
+    def test_batch_features_are_read_only(self):
+        """An eval batch is scored every epoch, so a layer that wrote into
+        its input would change the next epoch's batch: it raises instead."""
+        batch = make_batch([np.ones((2, 4), dtype=np.float32)], np.array([0]))
+        with pytest.raises(ValueError, match="read-only"):
+            batch.features[0, 0] = 2.0
+
     def test_gcn_without_adjacency_rejected(self):
         cfg = ModelConfig(kind="gcn", num_classes=2)
         model = ModelInstance(cfg, 4, seed=0)

@@ -94,6 +94,20 @@ class TestCSRMatrix:
         with pytest.raises(ValueError):
             m.data[0] = 9.0
 
+    def test_a_write_through_a_views_base_leaves_the_matrix_alone(self):
+        """A matrix built on views owns copies: writing to the views' bases
+        changes neither its values nor the sweep plan it cached."""
+        base = np.arange(4.0)
+        ptr_base, ix_base = np.array([0, 1, 2, 9]), np.array([1, 0, 7])
+        m = CSRMatrix((2, 2), ptr_base[:3], ix_base[:2], base[1:3])
+        first = spmm(m, np.eye(2))
+        base[1:3] = 10.0
+        ptr_base[:3] = [0, 0, 2]
+        ix_base[:2] = [0, 1]
+        np.testing.assert_array_equal(m.to_dense(), [[0.0, 1.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(spmm(m, np.eye(2)), first)
+        np.testing.assert_array_equal(first, m.to_dense())
+
 
 class TestSpmm:
     def test_matches_dense_product_on_random_matrices(self):
