@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gfnlab import sparse
-from gfnlab.graphs import generate_dense_synthetic, normalized_adjacency
+from gfnlab.graphs import Graph, generate_dense_synthetic, normalized_adjacency
 from gfnlab.models import ModelConfig, ModelInstance, make_batch
 from gfnlab.sparse import CSRMatrix, block_diag, split_diagonal, spmm, stack_diagonal
 
@@ -36,6 +36,21 @@ def dense_batch(indices):
     adjs = [normalized_adjacency(g.graph).matrix.astype(np.float32) for g in graphs]
     feats = [g.node_features.astype(np.float32) for g in graphs]
     return make_batch(feats, dataset.labels[indices], adjs)
+
+
+def sparse_batch(sizes, seed=0):
+    """A gcn batch of random graphs with about four neighbours a node. At 200
+    nodes or more its blocks hold more than ``DENSE_CELLS_PER_ENTRY`` cells per
+    stored entry, so ``spmm`` sweeps it."""
+    rng = np.random.default_rng(seed)
+    adjs, feats = [], []
+    for n in sizes:
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < 4 / n
+        graph = Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1))
+        adjs.append(normalized_adjacency(graph).matrix.astype(np.float32))
+        feats.append(rng.standard_normal((n, 5)).astype(np.float32))
+    return make_batch(feats, np.zeros(len(sizes), dtype=np.int64), adjs)
 
 
 class TestCSRMatrix:
@@ -172,10 +187,18 @@ class TestSpmm:
         out = spmm(m, x)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, left_to_right(m, x))
+        dense = block_diag([m])  # the same matrix, multiplied by its dense block
+        assert dense.dense_blocks
+        out = spmm(dense, x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, m.to_dense().astype(np.float64) @ x, rtol=1e-12, atol=1e-12)
 
     def test_zero_width_operand(self):
         m = lexsort_from_coo((3, 3), [0, 1], [1, 2], [1.0, 2.0])
         assert spmm(m, np.ones((3, 0))).shape == (3, 0)
+        dense = block_diag([m, m])
+        assert dense.dense_blocks
+        assert spmm(dense, np.ones((6, 0))).shape == (6, 0)
 
     def test_matrix_with_zero_rows(self):
         m = lexsort_from_coo((0, 3), [], [], [])
@@ -207,6 +230,8 @@ class TestSweepPlan:
             np.testing.assert_array_equal(out[[0, 3, 5]], 0)
 
     def test_gcn_batch_builds_its_plan_once(self, monkeypatch):
+        """A gcn batch of dense blocks never plans a sweep; a batch above the
+        rule plans its sweep once, however often it is multiplied."""
         built = []
 
         def counting(adj):
@@ -215,20 +240,42 @@ class TestSweepPlan:
 
         plan_sweep = sparse.plan_sweep
         monkeypatch.setattr(sparse, "plan_sweep", counting)
-        train, evals = dense_batch([0, 1, 2, 3]), [dense_batch([4, 5]), dense_batch([6, 7, 8])]
-        model = ModelInstance(ModelConfig(kind="gcn", num_classes=2), train.features.shape[1])
-        logits = model.forward(train, train=True)
-        model.backward(np.ones_like(logits))  # three GraphConv forwards and three backwards
-        assert len(built) == 1 and built[0] is train.adjacency
-        for i, batch in enumerate(evals, start=2):
-            model.forward(batch, train=False)
-            assert len(built) == i and built[-1] is batch.adjacency
+
+        def train_step(batch):  # three GraphConv forwards and three backwards
+            model = ModelInstance(ModelConfig(kind="gcn", num_classes=2), batch.features.shape[1])
+            logits = model.forward(batch, train=True)
+            model.backward(np.ones_like(logits))
+            return model
+
+        for batch in (dense_batch([0, 1, 2, 3]), dense_batch([4, 5])):
+            assert batch.adjacency.dense_blocks
+            train_step(batch).forward(batch, train=False)
+        assert built == []
+        swept, swept_eval = sparse_batch([300, 240]), sparse_batch([260], seed=1)
+        assert not swept.adjacency.dense_blocks and not swept_eval.adjacency.dense_blocks
+        model = train_step(swept)
+        assert len(built) == 1 and built[0] is swept.adjacency
+        model.forward(swept_eval, train=False)
+        model.forward(swept_eval, train=False)
+        assert len(built) == 2 and built[1] is swept_eval.adjacency
 
     def test_dense_synthetic_batch_sums_left_to_right(self):
+        """A float32 gcn batch above the rule is summed left to right; a dense
+        synthetic batch is within 1e-5 of the float64 product, the same bits on
+        every call."""
+        rng = np.random.default_rng(6)
+        swept = sparse_batch([300, 240, 200]).adjacency
+        assert not swept.dense_blocks and swept.data.dtype == np.float32
+        x = rng.standard_normal((swept.shape[0], 128)).astype(np.float32)
+        assert_bitwise_equal(spmm(swept, x), left_to_right(swept, x))
         adj = dense_batch(np.arange(8)).adjacency
-        assert adj.data.dtype == np.float32
-        x = np.random.default_rng(6).standard_normal((adj.shape[0], 128)).astype(np.float32)
-        assert_bitwise_equal(spmm(adj, x), left_to_right(adj, x))
+        assert adj.dense_blocks and adj.data.dtype == np.float32
+        x = rng.standard_normal((adj.shape[0], 128)).astype(np.float32)
+        out = spmm(adj, x)
+        assert out.dtype == np.float32
+        want = adj.to_dense().astype(np.float64) @ x.astype(np.float64)
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-5)
+        assert_bitwise_equal(spmm(adj, x), out)
 
 
 class TestBlockDiag:
@@ -267,18 +314,42 @@ class TestBlockDiag:
             block_diag([square, wide])
 
     def test_spmm_distributes_over_blocks(self):
-        # multiplying the block matrix equals multiplying each block separately
+        # multiplying the block matrix equals multiplying each block separately:
+        # with BLAS on dense blocks, with spmm's sweep on blocks above the rule
         rng = np.random.default_rng(9)
-        sizes = [3, 5, 2]
-        blocks, xs = [], []
-        for n in sizes:
-            mask = rng.random((n, n)) < 0.6
-            rows, cols = np.nonzero(mask)
-            blocks.append(lexsort_from_coo((n, n), rows, cols, rng.standard_normal(rows.size)))
-            xs.append(rng.standard_normal((n, 4)))
-        whole = spmm(block_diag(blocks), np.concatenate(xs, axis=0))
-        parts = np.concatenate([spmm(b, x) for b, x in zip(blocks, xs)], axis=0)
-        np.testing.assert_array_equal(whole, parts)
+        for sizes, density in (([3, 5, 2], 0.6), ([40, 60, 1], 0.02)):
+            blocks, xs = [], []
+            for n in sizes:
+                mask = rng.random((n, n)) < density
+                rows, cols = np.nonzero(mask)
+                blocks.append(lexsort_from_coo((n, n), rows, cols, rng.standard_normal(rows.size)))
+                xs.append(rng.standard_normal((n, 4)))
+            matrix = block_diag(blocks)
+            assert bool(matrix.dense_blocks) == (density > 0.5)
+            whole = spmm(matrix, np.concatenate(xs, axis=0))
+            if matrix.dense_blocks:
+                parts = [b.to_dense() @ x for b, x in zip(blocks, xs)]
+            else:
+                parts = [spmm(b, x) for b, x in zip(blocks, xs)]
+            np.testing.assert_array_equal(whole, np.concatenate(parts, axis=0))
+
+    def test_dense_blocks_iff_at_most_32_cells_per_entry(self):
+        assert sparse.DENSE_CELLS_PER_ENTRY == 32
+        two = lexsort_from_coo((8, 8), [0, 7], [7, 0], [1.5, -2.0])  # 64 cells, 2 entries
+        at_rule = block_diag([two])
+        assert len(at_rule.dense_blocks) == 1
+        one_cell_more = block_diag([two, lexsort_from_coo((1, 1), [], [], [])])
+        assert one_cell_more.dense_blocks == ()
+        x = np.arange(18.0).reshape(9, 2)
+        np.testing.assert_array_equal(spmm(at_rule, x[:8]), two.to_dense() @ x[:8])
+        np.testing.assert_array_equal(spmm(one_cell_more, x), left_to_right(one_cell_more, x))
+
+    def test_dense_blocks_are_read_only(self):
+        m = lexsort_from_coo((2, 2), [0, 1], [1, 0], [1.0, 2.0])
+        (block,) = block_diag([m]).dense_blocks
+        np.testing.assert_array_equal(block, m.to_dense())
+        with pytest.raises(ValueError):
+            block[0, 0] = 9.0
 
 
 class TestSplitDiagonal:
