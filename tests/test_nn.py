@@ -156,6 +156,64 @@ class TestBatchNorm:
             assert rel_err(bn.beta.grad, num_b) < 1e-5
             assert rel_err(dx, num_x) < 1e-4
 
+    def test_gradients_at_two_rows_and_a_constant_column(self):
+        rng = np.random.default_rng(15)
+        two_rows = rng.standard_normal((2, 3)) * 2
+        constant = rng.standard_normal((5, 3)) * 2
+        constant[:, 1] = 0.7  # var = 0, so inv_std = 1 / sqrt(eps)
+        for x in (two_rows, constant):
+            bn = BatchNorm(3, dtype=np.float64)
+            bn.gamma.value[...] = rng.uniform(0.5, 1.5, 3)
+            bn.beta.value[...] = rng.standard_normal(3)
+            proj = rng.standard_normal(x.shape)
+
+            def loss():
+                return float((bn.forward(x, train=True) * proj).sum())
+
+            bn.forward(x, train=True)
+            dx = bn.backward(proj)
+            num_g, num_b, num_x = finite_difference_grad(
+                loss, [bn.gamma.value, bn.beta.value, x])
+            assert rel_err(bn.gamma.grad, num_g) < 1e-5
+            assert rel_err(bn.beta.grad, num_b) < 1e-5
+            assert rel_err(dx, num_x) < 1e-4
+
+    def test_float32_matches_float64_textbook(self):
+        # a gfn-nci1-sized batch; the float32 layer against the textbook
+        # formulas evaluated in float64 on the same inputs
+        rng = np.random.default_rng(16)
+        x = (rng.standard_normal((930, 128)) * 3 + 1).astype(np.float32)
+        g = rng.standard_normal((930, 128)).astype(np.float32)
+        bn = BatchNorm(128)
+        bn.gamma.value[...] = rng.uniform(0.5, 1.5, 128)
+        bn.beta.value[...] = rng.standard_normal(128)
+        got = [bn.forward(x), bn.backward(g), bn.gamma.grad, bn.beta.grad,
+               bn.forward(x, train=False)]
+        X, G, gamma, beta, r_mean, r_var = (a.astype(np.float64) for a in (
+            x, g, bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var))
+        inv_std = 1.0 / np.sqrt(X.var(axis=0) + bn.eps)
+        x_hat = (X - X.mean(axis=0)) * inv_std
+        want = [gamma * x_hat + beta,
+                gamma * inv_std * (G - G.mean(axis=0) - x_hat * (G * x_hat).mean(axis=0)),
+                (G * x_hat).sum(axis=0), G.sum(axis=0),
+                gamma * (X - r_mean) / np.sqrt(r_var + bn.eps) + beta]
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            assert rel_err(a, b) < 100 * np.finfo(np.float32).eps
+
+    def test_eval_forward_keeps_running_stats_and_train_cache(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((6, 4)).astype(np.float32)
+        g = rng.standard_normal((6, 4)).astype(np.float32)
+        bn = BatchNorm(4)
+        bn.forward(x, train=True)
+        running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
+        dx = bn.backward(g)
+        bn.forward(3 * x + 1, train=False)
+        np.testing.assert_array_equal(bn.running_mean, running_mean)
+        np.testing.assert_array_equal(bn.running_var, running_var)
+        np.testing.assert_array_equal(bn.backward(g), dx)  # still the train forward's cache
+
 
 class TestSegmentOps:
     def test_segment_sum_hand_value(self):
@@ -353,7 +411,7 @@ class TestExactBits:
         np.testing.assert_array_equal(layer.forward(self.x), self.x @ W + b)
         np.testing.assert_array_equal(layer.backward(g), g @ W.T)
         np.testing.assert_array_equal(layer.weight.grad, self.x.T @ g)
-        np.testing.assert_array_equal(layer.bias.grad, g.sum(axis=0))
+        np.testing.assert_array_equal(layer.bias.grad, np.ones(97, np.float32) @ g)
         assert layer.backward(g, input_grad=False) is None
         np.testing.assert_array_equal(layer.weight.grad, self.x.T @ g + self.x.T @ g)
 
@@ -372,11 +430,13 @@ class TestExactBits:
         bn.gamma.value[...] = self.rng.uniform(0.5, 1.5, 16)
         bn.beta.value[...] = self.rng.standard_normal(16)
         gamma, beta, eps, n = bn.gamma.value, bn.beta.value, bn.eps, self.x.shape[0]
+        ones = np.ones(n, np.float32)  # every column sum is this BLAS product
         running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
         x, g = self.x.copy(), self.g.copy()
         for batch in (x, 2 * x - 1):  # the second pass starts from nontrivial running stats
             out = bn.forward(batch, train=True)
-            mean, var = batch.mean(axis=0), batch.var(axis=0)
+            mean = ones @ batch / n
+            var = ones @ np.square(batch - mean) / n
             inv_std = 1.0 / np.sqrt(var + eps)
             x_hat = (batch - mean) * inv_std
             np.testing.assert_array_equal(out, gamma * x_hat + beta)
@@ -387,14 +447,14 @@ class TestExactBits:
         bn.gamma.grad[...] = 0
         bn.beta.grad[...] = 0
         dx = bn.backward(g)
-        g_hat = g * gamma
+        proj, g_sum = ones @ (g * x_hat), ones @ g
         np.testing.assert_array_equal(
-            dx, inv_std / n * (n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)))
-        np.testing.assert_array_equal(bn.gamma.grad, (g * x_hat).sum(axis=0))
-        np.testing.assert_array_equal(bn.beta.grad, g.sum(axis=0))
+            dx, gamma * inv_std * (g - x_hat * (proj / n) - g_sum / n))
+        np.testing.assert_array_equal(bn.gamma.grad, proj)
+        np.testing.assert_array_equal(bn.beta.grad, g_sum)
         eval_out = bn.forward(x, train=False)
-        eval_hat = (x - running_mean) * (1.0 / np.sqrt(running_var + eps))
-        np.testing.assert_array_equal(eval_out, gamma * eval_hat + beta)
+        scale = gamma / np.sqrt(running_var + eps)
+        np.testing.assert_array_equal(eval_out, x * scale + (beta - running_mean * scale))
         np.testing.assert_array_equal(x, self.x)  # inputs are never written
         np.testing.assert_array_equal(g, self.g)
 
