@@ -256,9 +256,8 @@ def _train_config(resolved: dict, dataset: Dataset, models) -> TrainConfig:
         plan = stratified_kfold(dataset, config.folds, config.seed)  # refuses too many folds
     normalizing = [model.kind for model in models if model.kind in BATCH_NORM_KINDS]
     if normalizing:
-        num_nodes = np.array([g.graph.num_nodes for g in dataset.graphs])
         for fold in range(config.folds):
-            rows = int(num_nodes[plan.train_indices(fold)].sum())
+            rows = int(dataset.sizes[plan.train_indices(fold)].sum())
             if rows < 2:
                 raise UsageError(f"fold {fold} trains on {rows} node row(s), but batch norm in "
                                  f"{normalizing[0]} needs at least 2: use more graphs or fewer "
@@ -353,6 +352,7 @@ def run_command(args: argparse.Namespace) -> int:
     manifest = {
         "command": f"{args.command} {getattr(args, 'action', '')}".strip(),
         "dataset": args.dataset,
+        "dataset_sha256": dataset.fingerprint,
         "model": model,
         "config": resolved,
         "seeds": [resolved["seed"]] if "seed" in resolved else [],

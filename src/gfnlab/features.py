@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Dataset, Graph, disjoint_union, node_degrees, normalized_adjacency
+from .graphs import Dataset, Graph, node_degrees, normalized_adjacency
 from .sparse import spmm
 
 # Part of every cache key; bump it when the cached matrices would change.
@@ -79,11 +79,6 @@ def augment(graph: Graph, rows: list[np.ndarray], spec: FeatureSpec, degree_cap:
     return out
 
 
-def dataset_degree_cap(dataset: Dataset) -> int:
-    """Dataset-wide maximum node degree, the one-hot clamp bucket."""
-    return max(int(node_degrees(g.graph).max(initial=1)) for g in dataset.graphs)
-
-
 def default_cache_dir() -> Path:
     env = os.environ.get("GFNLAB_CACHE")
     if env:
@@ -92,16 +87,10 @@ def default_cache_dir() -> Path:
 
 
 def _cache_path(cache_dir: Path, dataset: Dataset, spec: FeatureSpec) -> Path:
-    """Cache file named by a sha256 of the format, the spec and every array the
-    features derive from; the dataset name and spec are only a readable prefix."""
-    digest = hashlib.sha256(f"{CACHE_FORMAT}/{spec.cache_token()}".encode())
-    arrays = [dataset.labels]
-    for g in dataset.graphs:
-        arrays += [g.graph.indptr, g.graph.indices, g.node_features]
-    for arr in arrays:
-        digest.update(repr(arr.shape).encode())  # keeps the byte stream unambiguous
-        digest.update(np.ascontiguousarray(arr).data)
-    return cache_dir / f"{dataset.name}_{spec.cache_token()}_{digest.hexdigest()}.npy"
+    """Cache file named by a sha256 of the format, the exact spec and the dataset's
+    fingerprint; the dataset name and the (rounded) spec token are only a readable prefix."""
+    key = hashlib.sha256(f"{CACHE_FORMAT}/{spec!r}/{dataset.fingerprint}".encode()).hexdigest()
+    return cache_dir / f"{dataset.name}_{spec.cache_token()}_{key}.npy"
 
 
 def precompute_dataset(
@@ -117,19 +106,18 @@ def precompute_dataset(
     graph index.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    cap = dataset_degree_cap(dataset)
     path = _cache_path(cache_dir, dataset, spec)
-    sizes = [g.graph.num_nodes for g in dataset.graphs]
     if path.is_file():
         try:
-            return _load_cache(path, sizes, len(spec.column_names(cap, dataset.feature_dim)))
+            width = len(spec.column_names(dataset.degree_cap, dataset.feature_dim))
+            return _load_cache(path, dataset.sizes, width)
         except Exception as exc:  # corrupt cache: recompute below
             warnings.warn(f"feature cache {path} unusable ({exc}); recomputing", stacklevel=2)
     # One propagation over the disjoint union: its normalized adjacency is
     # block diagonal and spmm sums each row on its own, so every graph's rows
     # equal those of a per-graph augment bit for bit.
-    union = disjoint_union([g.graph for g in dataset.graphs])
-    feats = augment(union, [g.node_features for g in dataset.graphs], spec, cap)
+    feats = augment(dataset.union, [g.node_features for g in dataset.graphs], spec,
+                    dataset.degree_cap)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -142,14 +130,14 @@ def precompute_dataset(
     finally:
         if os.path.lexists(tmp):
             tmp.unlink()
-    return np.split(feats, np.cumsum(sizes)[:-1])
+    return np.split(feats, np.cumsum(dataset.sizes)[:-1])
 
 
-def _load_cache(path: Path, sizes: list[int], width: int) -> list[np.ndarray]:
+def _load_cache(path: Path, sizes: np.ndarray, width: int) -> list[np.ndarray]:
     """Read the cached matrix straight into one array per graph. Per-graph
     arrays fit in freed heap memory; ``np.load`` of all rows at once can need
     a fresh mapping that adds the whole matrix to the peak resident memory."""
-    shape = (sum(sizes), width)
+    shape = (int(sizes.sum()), width)
     with open(path, "rb") as fh:
         if np.lib.format.read_magic(fh) != (1, 0):
             raise ValueError("not a version 1.0 .npy file")
@@ -168,7 +156,7 @@ def export_csv(
     """Write one CSV per graph with a leading column-name comment line."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ",".join(spec.column_names(dataset_degree_cap(dataset), dataset.feature_dim))
+    header = ",".join(spec.column_names(dataset.degree_cap, dataset.feature_dim))
     written = []
     digits = max(5, len(str(len(dataset))))
     for i, f in enumerate(feats):

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .sparse import CSRMatrix, check_pattern, stack_diagonal
+from .sparse import CSRMatrix, _frozen, check_pattern, stack_diagonal
 
 
 class DataError(Exception):
     """Input data that cannot be read, or that does not form a valid dataset."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph in compressed-row adjacency form.
 
@@ -29,8 +31,10 @@ class Graph:
 
     def __post_init__(self):
         n = self.num_nodes
-        self.indptr, self.indices = check_pattern((n, n), self.indptr, self.indices)
-        if self.indices.size % 2 != 0:
+        indptr, indices = check_pattern((n, n), self.indptr, self.indices)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        if indices.size % 2 != 0:
             raise ValueError("undirected adjacency must store both edge directions")
 
     @property
@@ -75,25 +79,23 @@ class Graph:
         return cls(num_nodes, indptr, cols)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AttributedGraph:
-    """A graph together with its node feature matrix and class label."""
+    """A graph together with its node feature matrix and class label. Instances are immutable."""
 
     graph: Graph
     node_features: np.ndarray
     label: int
 
     def __post_init__(self):
-        self.node_features = np.ascontiguousarray(self.node_features, dtype=np.float64)
-        if self.node_features.ndim != 2:
+        x = np.ascontiguousarray(self.node_features, dtype=np.float64)
+        if x.ndim != 2:
             raise DataError("node_features must be 2-D")
-        if self.node_features.shape[0] != self.graph.num_nodes:
-            raise DataError(
-                f"feature rows ({self.node_features.shape[0]}) != num_nodes "
-                f"({self.graph.num_nodes})"
-            )
-        self.node_features.setflags(write=False)
-        self.label = int(self.label)
+        if x.shape[0] != self.graph.num_nodes:
+            raise DataError(f"feature rows ({x.shape[0]}) != num_nodes ({self.graph.num_nodes})")
+        x.setflags(write=False)
+        object.__setattr__(self, "node_features", x)
+        object.__setattr__(self, "label", int(self.label))
 
 
 @dataclass
@@ -105,16 +107,17 @@ class DatasetMeta:
     expected_feature_dim: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Labeled collection of attributed graphs sharing one feature schema."""
+    """Immutable labeled collection of attributed graphs sharing one feature schema."""
 
     name: str
-    graphs: list[AttributedGraph]
+    graphs: tuple[AttributedGraph, ...]
     num_classes: int
     feature_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "graphs", tuple(self.graphs))
         if not self.graphs:
             raise DataError(f"dataset {self.name} holds no graphs")
         for g in self.graphs:
@@ -129,6 +132,33 @@ class Dataset:
     @property
     def labels(self) -> np.ndarray:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return _frozen([g.graph.num_nodes for g in self.graphs], np.int64)
+
+    @cached_property
+    def union(self) -> Graph:
+        """One graph with each graph as a component, nodes numbered in dataset order."""
+        return Graph(*stack_diagonal([(g.graph.num_nodes, g.graph.indptr, g.graph.indices)
+                                      for g in self.graphs]))
+
+    @cached_property
+    def degree_cap(self) -> int:
+        """Dataset-wide maximum node degree (at least 1), the one-hot clamp bucket."""
+        return int(node_degrees(self.union).max(initial=1))
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 of the labels and of each graph's pattern and node features, with shapes."""
+        digest = hashlib.sha256()
+        arrays = [self.labels]
+        for g in self.graphs:
+            arrays += [g.graph.indptr, g.graph.indices, g.node_features]
+        for arr in arrays:
+            digest.update(repr(arr.shape).encode())  # keeps the byte stream unambiguous
+            digest.update(np.ascontiguousarray(arr).data)
+        return digest.hexdigest()
 
 
 @dataclass
@@ -166,11 +196,6 @@ def normalized_adjacency(graph: Graph, epsilon: float = 1.0) -> NormalizedAdjace
     indices = np.insert(dst, at, np.arange(n))
     data = np.insert(vals, at, epsilon * inv_sqrt**2)
     return NormalizedAdjacency(CSRMatrix((n, n), graph.indptr + np.arange(n + 1), indices, data))
-
-
-def disjoint_union(graphs: list[Graph]) -> Graph:
-    """One graph with each input graph as a component, nodes numbered in input order."""
-    return Graph(*stack_diagonal([(g.num_nodes, g.indptr, g.indices) for g in graphs]))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureSpec, precompute_dataset
-from .graphs import Dataset, disjoint_union, normalized_adjacency, stratified_kfold
+from .graphs import Dataset, normalized_adjacency, stratified_kfold
 from .models import (CONV_STACK_KINDS, MODEL_KINDS, BatchedGraphs, ModelConfig, ModelInstance,
                      make_batch)
 from .nn import adam_step, softmax_cross_entropy
@@ -50,7 +50,7 @@ class PreparedDataset:
 
     features: list[np.ndarray]
     labels: np.ndarray
-    input_dim: int
+    sizes: np.ndarray  # node count per graph
     adjacencies: list[CSRMatrix] | None = None
 
 
@@ -64,21 +64,19 @@ def prepare_dataset(
     near zero) and, when the model aggregates, the per-graph adjacencies."""
     spec = model_config.feature_spec
     t0 = time.perf_counter()
-    # first, so that their union is freed before the precompute allocates
     adjacencies = _adjacencies(dataset, spec.epsilon) if model_config.needs_adjacency else None
-    feats = precompute_dataset(dataset, spec, cache_dir)
-    features = [f.astype(np.float32) for f in feats]
-    prepared = PreparedDataset(features, dataset.labels, features[0].shape[1], adjacencies)
+    features = [f.astype(np.float32) for f in precompute_dataset(dataset, spec, cache_dir)]
+    prepared = PreparedDataset(features, dataset.labels, dataset.sizes, adjacencies)
     return prepared, time.perf_counter() - t0
 
 
 def _adjacencies(dataset: Dataset, epsilon: float) -> list[CSRMatrix]:
     """Each graph's float32 normalized adjacency, cut from one normalization of
     the disjoint union: the same degrees, so the same bits as graph by graph."""
-    whole = normalized_adjacency(disjoint_union([g.graph for g in dataset.graphs]), epsilon).matrix
-    sizes = [g.graph.num_nodes for g in dataset.graphs]
+    whole = normalized_adjacency(dataset.union, epsilon).matrix
+    blocks = split_diagonal(dataset.sizes.tolist(), whole.indptr, whole.indices)
     return [CSRMatrix((n, n), indptr, indices, whole.data[entries].astype(np.float32))
-            for n, indptr, indices, entries in split_diagonal(sizes, whole.indptr, whole.indices)]
+            for n, indptr, indices, entries in blocks]
 
 
 @dataclass
@@ -130,11 +128,10 @@ def train_fold(
     test batches built once per fold. Epoch timing covers the update loop only."""
     model = ModelInstance(
         model_config,
-        prepared.input_dim,
+        prepared.features[0].shape[1],
         seed=np.random.SeedSequence((train_config.seed, fold)),
     )
     trace = FoldTrace(fold=fold, train_size=int(train_idx.size), test_size=int(test_idx.size))
-    num_nodes = np.array([f.shape[0] for f in prepared.features])
     test_batches = [_gather_batch(prepared, idx)
                     for idx in _batched_indices(test_idx, train_config.batch_size)]
     for epoch in range(train_config.epochs):
@@ -144,11 +141,11 @@ def train_fold(
         # takes in the batch after it, or joins the one before when it is last
         batches = []
         for idx in _batched_indices(order, train_config.batch_size):
-            if batches and num_nodes[batches[-1]].sum() < 2:
+            if batches and prepared.sizes[batches[-1]].sum() < 2:
                 batches[-1] = np.concatenate([batches[-1], idx])
             else:
                 batches.append(idx)
-        if len(batches) > 1 and num_nodes[batches[-1]].sum() < 2:
+        if len(batches) > 1 and prepared.sizes[batches[-1]].sum() < 2:
             batches[-2:] = [np.concatenate(batches[-2:])]
         correct = 0
         loss_sum = 0.0

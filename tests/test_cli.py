@@ -303,8 +303,8 @@ MANIFEST_CASES = {
     "ablate-features": (["ablate", "--model", "gln", "--axis", "features"] + TRAIN_FLAGS,
                         "ablate", "gln", [3], ABLATE_OUTPUTS),
 }
-MANIFEST_KEYS = {"command", "dataset", "model", "config", "seeds", "env", "started",
-                 "finished", "outputs", "status", "error"}
+MANIFEST_KEYS = {"command", "dataset", "dataset_sha256", "model", "config", "seeds", "env",
+                 "started", "finished", "outputs", "status", "error"}
 
 
 def _subcommand_flags() -> dict[str, set[str]]:
@@ -420,11 +420,16 @@ def test_readme_layout_names_exactly_the_modules():
     assert sorted(table) == sorted(modules)
 
 
-def _names_read(tree: ast.AST) -> set[str]:
-    """Every name a piece of code reads: bare names, attributes, imported
-    names and string constants (perfbench patches functions by name)."""
-    read = set()
-    for node in ast.walk(tree):
+def _names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name a piece of code outside ``skip`` reads: bare names,
+    attributes, imported names and string constants (perfbench patches
+    functions by name)."""
+    read, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -445,9 +450,10 @@ def _defined_names(statement: ast.stmt) -> list[str]:
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
-    """Each public module-level function, class or constant of the package is
-    read by another of its modules, by the rest of its own module or by
-    perfbench: public API that only tests use belongs in the tests."""
+    """Each public module-level function, class or constant of the package,
+    and each public method or property of its classes, is read by another of
+    its modules, by the rest of its own module or by perfbench: public API
+    that only tests use belongs in the tests."""
     root = README.parent
     trees = {p.stem: ast.parse(p.read_text()) for p in (root / "src" / "gfnlab").glob("*.py")}
     perfbench = [ast.parse(p.read_text()) for p in (root / "perfbench").glob("*.py")]
@@ -455,10 +461,14 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     for module, tree in trees.items():
         outside = set().union(*map(_names_read, perfbench),
                               *(_names_read(t) for m, t in trees.items() if m != module))
-        for statement in tree.body:
-            rest = set().union(*(_names_read(s) for s in tree.body if s is not statement))
-            unread += [f"{module}.{name}" for name in _defined_names(statement)
-                       if not name.startswith("_") and name not in outside | rest]
+        defined = [(statement, name) for statement in tree.body
+                   for name in _defined_names(statement)]
+        defined += [(member, f"{cls.name}.{member.name}") for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) for member in cls.body
+                    if isinstance(member, ast.FunctionDef)]
+        unread += [f"{module}.{name}" for statement, name in defined
+                   if not name.split(".")[-1].startswith("_")
+                   and name.split(".")[-1] not in outside | _names_read(tree, skip=statement)]
     assert unread == []
 
 
@@ -540,6 +550,7 @@ class TestManifest:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             assert manifest["env"][var] == os.environ.get(var)
         assert manifest["command"] == command
+        assert manifest["dataset_sha256"] == resolve_dataset("synthetic", "data").fingerprint
         assert manifest["model"] == model
         assert manifest["seeds"] == seeds
         assert manifest["outputs"] == [str(run_dir / name) for name in outputs]
@@ -557,6 +568,18 @@ class TestManifest:
         assert first["config"].pop("out") == str(tmp_path / "first")
         assert second["config"] == first["config"]
         assert second["model"] == first["model"] and second["seeds"] == first["seeds"]
+
+    def test_dataset_sha256_follows_the_content(self, tmp_path):
+        def sha256(directory, graph_labels):
+            d = write_tu_files(directory / "tiny", "tiny", indicator=["1", "1", "2", "3", "3"],
+                               edges=["1 2", "2 1", "4 5", "5 4"], graph_labels=graph_labels)
+            out = directory / "runs"
+            assert run(["features", "export", "--dataset", str(d), "--out", str(out)]) == 0
+            return json.loads((single_run_dir(out) / "manifest.json").read_text())["dataset_sha256"]
+
+        first = sha256(tmp_path / "a", ["1", "2", "1"])
+        assert sha256(tmp_path / "b", ["1", "2", "1"]) == first
+        assert sha256(tmp_path / "c", ["2", "2", "1"]) != first
 
     def test_features_axis_records_neither_k_nor_grid(self, tmp_path):
         manifest = self._run_manifest(MANIFEST_CASES["ablate-features"][0], tmp_path / "runs")

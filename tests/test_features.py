@@ -7,7 +7,6 @@ import pytest
 from gfnlab.features import (
     FeatureSpec,
     augment,
-    dataset_degree_cap,
     default_cache_dir,
     export_csv,
     precompute_dataset,
@@ -166,14 +165,6 @@ class TestFeatureSpec:
         assert len(tokens) == 4
 
 
-def test_dataset_degree_cap():
-    ds = Dataset("d", [
-        AttributedGraph(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), np.ones((4, 1)), 0),
-        AttributedGraph(Graph.from_edges(2, [(0, 1)]), np.ones((2, 1)), 0),
-    ], num_classes=1, feature_dim=1)
-    assert dataset_degree_cap(ds) == 3
-
-
 class TestCache:
     def test_cache_round_trip(self, tmp_path):
         ds = small_dataset()
@@ -208,6 +199,18 @@ class TestCache:
         precompute_dataset(ds, FeatureSpec(K=2), cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.npy"))) == 2
 
+    def test_epsilons_that_print_alike_get_their_own_features(self, tmp_path):
+        """The readable token rounds epsilon to 6 digits; the cache key must not."""
+        ds = small_dataset()
+        near, far = FeatureSpec(K=1, epsilon=0.5), FeatureSpec(K=1, epsilon=0.5000001)
+        assert near.cache_token() == far.cache_token()
+        precompute_dataset(ds, near, cache_dir=tmp_path)
+        fresh = precompute_dataset(ds, far, cache_dir=tmp_path / "fresh")
+        for _ in range(2):  # cold, then warm
+            for f, e in zip(precompute_dataset(ds, far, cache_dir=tmp_path), fresh):
+                assert np.array_equal(f, e)
+        assert len(list(tmp_path.glob("*.npy"))) == 2
+
     def test_same_name_and_size_get_their_own_features(self, tmp_path):
         """Two datasets that share name, size and degree cap but not edges:
         3-node paths 0-1-2 against 3-node stars centred on node 0."""
@@ -234,7 +237,7 @@ class TestCache:
         graphs = [AttributedGraph(g, rng.standard_normal((g.num_nodes, 3)), i % 2)
                   for i, g in enumerate(shapes)]
         ds = Dataset("mixed", graphs, num_classes=2, feature_dim=3)
-        cap = dataset_degree_cap(ds)
+        cap = ds.degree_cap
         for K in range(4):
             for use_degree in (True, False):
                 spec = FeatureSpec(use_degree=use_degree, K=K)
@@ -292,7 +295,7 @@ class TestExport:
         paths = export_csv(ds, spec, feats, tmp_path / "csv")
         assert len(paths) == 3
         text = paths[0].read_text().splitlines()
-        assert text[0] == "# " + ",".join(spec.column_names(dataset_degree_cap(ds), 2))
+        assert text[0] == "# " + ",".join(spec.column_names(ds.degree_cap, 2))
         assert text[0].startswith("# deg_0,")
         assert ",x_0," in text[0] and ",a1x_0," in text[0]
         body = np.loadtxt(paths[0], delimiter=",", comments="#", ndmin=2)

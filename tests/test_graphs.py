@@ -1,4 +1,6 @@
+import hashlib
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from gfnlab.graphs import (
     DataError,
     Dataset,
     Graph,
-    disjoint_union,
     generate_dense_synthetic,
     generate_synthetic_dataset,
     node_degrees,
@@ -189,7 +190,8 @@ class TestDiagonalInsertion:
 def test_disjoint_union_adjacency_is_block_diagonal(random_graph):
     rng = np.random.default_rng(6)
     parts = [random_graph(rng, n) for n in (5, 1, 8)] + [Graph.from_edges(3, [])]
-    union = disjoint_union(parts)
+    union = Dataset("d", [AttributedGraph(g, np.ones((g.num_nodes, 1)), 0) for g in parts],
+                    num_classes=1, feature_dim=1).union
     assert union.num_nodes == 17 and union.edge_count == sum(g.edge_count for g in parts)
     whole = normalized_adjacency(union).matrix
     blocks = block_diag([normalized_adjacency(g).matrix for g in parts])
@@ -198,7 +200,53 @@ def test_disjoint_union_adjacency_is_block_diagonal(random_graph):
         np.testing.assert_array_equal(a, b)
 
 
+def test_dataset_degree_cap():
+    ds = Dataset("d", [
+        AttributedGraph(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), np.ones((4, 1)), 0),
+        AttributedGraph(Graph.from_edges(2, [(0, 1)]), np.ones((2, 1)), 0),
+    ], num_classes=1, feature_dim=1)
+    assert ds.degree_cap == 3
+
+
 class TestDataset:
+    def _two_graphs(self, label=1):
+        graphs = [AttributedGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), np.eye(3)[:, :2], 0),
+                  AttributedGraph(Graph.from_edges(2, [(0, 1)]), np.ones((2, 2)), label)]
+        return Dataset("d", graphs, num_classes=2, feature_dim=2)
+
+    def test_is_immutable(self):
+        """It keeps what it derives from its graphs, so neither it nor they may change."""
+        ds = self._two_graphs()
+        assert isinstance(ds.graphs, tuple)
+        g = ds.graphs[0]
+        for obj, field in ((ds, "name"), (ds, "graphs"), (ds, "num_classes"),
+                           (g, "node_features"), (g, "label"), (g.graph, "indices")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field, None)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.sizes[0] = 7
+
+    def test_derived_facts_are_computed_once(self, monkeypatch):
+        ds = self._two_graphs()
+        names = ("sizes", "union", "degree_cap", "fingerprint")
+        first = [getattr(ds, name) for name in names]
+        np.testing.assert_array_equal(ds.sizes, [3, 2])
+        assert ds.union.num_nodes == 5 and ds.degree_cap == 2
+        monkeypatch.setattr(hashlib, "sha256", None)  # computing any of them again fails
+        monkeypatch.setattr("gfnlab.graphs.stack_diagonal", None)
+        assert all(getattr(ds, name) is fact for name, fact in zip(names, first))
+
+    def test_fingerprint_covers_the_content(self):
+        same = self._two_graphs().fingerprint
+        assert self._two_graphs().fingerprint == same
+        assert len(same) == 64 and set(same) <= set("0123456789abcdef")
+        assert self._two_graphs(label=0).fingerprint != same
+        graphs = list(self._two_graphs().graphs)
+        graphs[1] = AttributedGraph(graphs[1].graph, np.full((2, 2), 2.0), 1)
+        assert Dataset("d", graphs, num_classes=2, feature_dim=2).fingerprint != same
+        graphs[1] = AttributedGraph(Graph.from_edges(2, []), np.ones((2, 2)), 1)
+        assert Dataset("d", graphs, num_classes=2, feature_dim=2).fingerprint != same
+
     def test_label_range_enforced(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(DataError):

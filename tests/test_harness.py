@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -13,7 +14,7 @@ from gfnlab.graphs import (
     generate_synthetic_dataset,
     normalized_adjacency,
 )
-from gfnlab import harness
+from gfnlab import graphs, harness
 from gfnlab.features import FeatureSpec
 from gfnlab.harness import (
     TIMING_FIELDS,
@@ -129,6 +130,33 @@ class TestAdjacencies:
         assert calls == [sum(g.graph.num_nodes for g in ds.graphs)]
         prepare_dataset(ds, ModelConfig(kind="gfn", num_classes=2))
         assert len(calls) == 1  # gfn aggregates nothing: no adjacency
+
+    def test_a_dataset_is_stacked_and_hashed_once(self, monkeypatch):
+        """gcn cold and warm, then gfn, gfn-light and gln: one union, one content hash."""
+        ds = generate_dense_synthetic(12, seed=2)
+        stacks, hashed = [], []
+        real_stack, real_sha256 = graphs.stack_diagonal, hashlib.sha256
+
+        class CountingSha256:
+            def __init__(self, data=b""):
+                self.inner = real_sha256()
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self.inner.update(data)
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        monkeypatch.setattr(graphs, "stack_diagonal", lambda p: stacks.append(1) or real_stack(p))
+        monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+        for kind in ("gcn", "gcn", "gfn", "gfn-light", "gln"):
+            prepare_dataset(ds, ModelConfig(kind=kind, num_classes=2))
+        content = ds.labels.nbytes + sum(g.graph.indptr.nbytes + g.graph.indices.nbytes
+                                         + g.node_features.nbytes for g in ds.graphs)
+        assert len(stacks) == 1
+        assert content < sum(hashed) < 2 * content
 
 
 class TestEpochSelection:
