@@ -31,17 +31,17 @@ from .graphs import (
     Dataset,
     generate_dense_synthetic,
     generate_synthetic_dataset,
-    stratified_kfold,
 )
 from .harness import (
     TIMING_FIELDS,
     TrainConfig,
     ablation_cells,
     ablation_sweep,
+    plan_folds,
     run_cv,
     write_ablation_csv,
 )
-from .models import BATCH_NORM_KINDS, MODEL_KINDS, ModelConfig, default_feature_spec
+from .models import MODEL_KINDS, ModelConfig, default_feature_spec
 from .tu import parse_tu_dataset
 
 
@@ -127,7 +127,7 @@ def make_run_dir(out_root: Path, label: str) -> Path:
         path = Path(f"{base}-{n}")
     try:
         path.mkdir(parents=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte from a config file
         raise UsageError(f"--out {out_root} cannot hold a run directory ({exc})") from exc
     return path
 
@@ -166,10 +166,11 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     p = Path(path)
     if not p.is_file():
-        raise DataError(f"config file {path} does not exist")
+        raise DataError(f"config file {path} {'is not a file' if p.exists() else 'does not exist'}")
     try:
-        with open(p) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"config file {path} cannot be read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -253,15 +254,7 @@ def _train_config(resolved: dict, dataset: Dataset, models) -> TrainConfig:
     config = TrainConfig(batch_size=resolved["batch"], **named_alike)
     with warnings.catch_warnings():  # the run itself warns about a thin class
         warnings.simplefilter("ignore")
-        plan = stratified_kfold(dataset, config.folds, config.seed)  # refuses too many folds
-    normalizing = [model.kind for model in models if model.kind in BATCH_NORM_KINDS]
-    if normalizing:
-        for fold in range(config.folds):
-            rows = int(dataset.sizes[plan.train_indices(fold)].sum())
-            if rows < 2:
-                raise UsageError(f"fold {fold} trains on {rows} node row(s), but batch norm in "
-                                 f"{normalizing[0]} needs at least 2: use more graphs or fewer "
-                                 "folds")
+        plan_folds(dataset, config, models)  # refuses too many folds and a thin split
     return config
 
 

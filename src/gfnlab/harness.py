@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureSpec, precompute_dataset
-from .graphs import Dataset, normalized_adjacency, stratified_kfold
-from .models import (CONV_STACK_KINDS, MODEL_KINDS, BatchedGraphs, ModelConfig, ModelInstance,
-                     make_batch)
+from .graphs import Dataset, FoldPlan, normalized_adjacency, stratified_kfold
+from .models import (BATCH_NORM_KINDS, CONV_STACK_KINDS, MODEL_KINDS, BatchedGraphs, ModelConfig,
+                     ModelInstance, make_batch)
 from .nn import adam_step, softmax_cross_entropy
 from .sparse import CSRMatrix, split_diagonal
 
@@ -215,6 +215,19 @@ def select_best_epoch(traces: list[FoldTrace]) -> tuple[int, float, float, list[
     return best, float(at_best.mean()), float(at_best.std(ddof=0)), [float(a) for a in at_best]
 
 
+def plan_folds(dataset: Dataset, train_config: TrainConfig, models) -> FoldPlan:
+    """The run's stratified fold plan, refused before any fold trains when a
+    training split has fewer than the two node rows batch norm in ``models`` needs."""
+    plan = stratified_kfold(dataset, train_config.folds, train_config.seed)
+    normalizing = [model.kind for model in models if model.kind in BATCH_NORM_KINDS]
+    for fold in range(train_config.folds if normalizing else 0):
+        rows = int(dataset.sizes[plan.train_indices(fold)].sum())
+        if rows < 2:
+            raise ValueError(f"fold {fold} trains on {rows} node row(s), but batch norm in "
+                             f"{normalizing[0]} needs at least 2: use more graphs or fewer folds")
+    return plan
+
+
 def run_cv(
     dataset: Dataset,
     model_config: ModelConfig,
@@ -222,8 +235,8 @@ def run_cv(
     cache_dir: Path | str | None = None,
 ) -> CVReport:
     """Stratified k-fold cross-validation of one model on one dataset."""
+    plan = plan_folds(dataset, train_config, [model_config])
     prepared, precompute_seconds = prepare_dataset(dataset, model_config, cache_dir)
-    plan = stratified_kfold(dataset, train_config.folds, train_config.seed)
     tasks = [(f, plan.train_indices(f), plan.test_indices(f)) for f in range(train_config.folds)]
     if train_config.jobs > 1:
         with ProcessPoolExecutor(
@@ -234,9 +247,7 @@ def run_cv(
         ) as pool:
             traces = list(pool.map(_run_worker, tasks))
     else:
-        traces = [
-            train_fold(prepared, model_config, train_config, f, tr, te) for f, tr, te in tasks
-        ]
+        traces = [train_fold(prepared, model_config, train_config, *task) for task in tasks]
     best, mean_acc, std_acc, per_fold = select_best_epoch(traces)
     return CVReport(
         dataset=dataset.name,

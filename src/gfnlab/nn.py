@@ -66,26 +66,24 @@ class ParameterSet:
         return iter(self._params.values())
 
 
-def adam_step(
-    params: ParameterSet,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5
+
+
+def adam_step(params: ParameterSet, lr: float) -> None:
     """One bias-corrected Adam update of every parameter; gradients are zeroed after.
     In place, with the roundings of ``value -= lr * m_hat / (sqrt(v_hat) + eps)``."""
     params.step += 1
     m, v, g = params.m, params.v, params.grad
     denom, update = params.scratch
-    m *= beta1
-    m += np.multiply(1 - beta1, g, out=update)
-    v *= beta2
+    m *= ADAM_BETA1
+    m += np.multiply(1 - ADAM_BETA1, g, out=update)
+    v *= ADAM_BETA2
     np.square(g, out=denom)
-    v += np.multiply(1 - beta2, denom, out=denom)
-    np.sqrt(np.divide(v, 1 - beta2**params.step, out=denom), out=denom)
-    denom += eps
-    np.divide(m, 1 - beta1**params.step, out=update)
+    v += np.multiply(1 - ADAM_BETA2, denom, out=denom)
+    np.sqrt(np.divide(v, 1 - ADAM_BETA2**params.step, out=denom), out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1 - ADAM_BETA1**params.step, out=update)
     update *= lr
     update /= denom
     params.value -= update
@@ -156,22 +154,19 @@ class BatchNorm:
     """Per-feature batch normalization (population-variance convention).
 
     Train mode normalizes by batch statistics, each a column sum divided by
-    the row count, and folds them into the running estimates with the
-    configured momentum. Eval mode applies the running statistics as one
-    per-column scale ``s = gamma / sqrt(running_var + eps)`` and shift
+    the row count, and folds them into the running estimates with momentum
+    ``BN_MOMENTUM``. Eval mode applies the running statistics as one
+    per-column scale ``s = gamma / sqrt(running_var + BN_EPS)`` and shift
     ``beta - running_mean * s``, and changes neither the running statistics
     nor the train cache. Backward implements the full gradient including the
     terms through the batch mean and variance.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float32, name: str = "bn"):
+    def __init__(self, dim: int, dtype=np.float32, name: str = "bn"):
         self.gamma = Parameter(f"{name}.gamma", np.ones(dim, dtype=dtype))
         self.beta = Parameter(f"{name}.beta", np.zeros(dim, dtype=dtype))
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def parameters(self) -> list[Parameter]:
@@ -179,7 +174,7 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if not train:
-            scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
+            scale = self.gamma.value / np.sqrt(self.running_var + BN_EPS)
             out = x * scale
             out += self.beta.value - self.running_mean * scale
             return out
@@ -192,9 +187,9 @@ class BatchNorm:
         x_hat = x - mean
         out = np.square(x_hat)
         var = ones @ out / n
-        self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat *= inv_std
         self._cache = (x_hat, inv_std, n)
         np.multiply(self.gamma.value, x_hat, out=out)

@@ -73,13 +73,33 @@ class TestCvCommand:
         assert manifest["config"]["folds"] == 2   # file beats default
         assert manifest["model"] == "gln"
 
-    def test_invalid_config_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = run(["cv", "--dataset", "synthetic", "--config", str(bad),
-                    "--out", str(tmp_path / "r")])
-        assert code == 1
-        assert "valid JSON" in capsys.readouterr().err
+    def test_invalid_config_file(self, tmp_path, capsys, monkeypatch):
+        def unreadable(path):  # the last case: every read after it is refused
+            path.write_text("{}")
+
+            def refuse(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+
+            monkeypatch.setattr(Path, "read_text", refuse)
+
+        cases = {
+            "not-json": (lambda path: path.write_text("{not json"), "is not valid JSON: "),
+            "not-utf8": (lambda path: path.write_bytes(b'\xff\xfe{"epochs": 1}'),
+                         "cannot be read ('utf-8' codec can't decode byte 0xff"),
+            "directory": (Path.mkdir, "is not a file\n"),
+            "missing": (lambda path: None, "does not exist\n"),
+            "unreadable": (unreadable, "cannot be read ([Errno 13] Permission denied"),
+        }
+        for case, (make, message) in cases.items():
+            bad = tmp_path / case / "config.json"
+            bad.parent.mkdir()
+            make(bad)
+            code = run(["cv", "--dataset", "synthetic", "--config", str(bad),
+                        "--out", str(tmp_path / case / "r")])
+            err = capsys.readouterr().err
+            assert code == 1, case
+            assert err.startswith(f"error: config file {bad} {message}") and err.count("\n") == 1
+            assert sorted(p.name for p in bad.parent.iterdir()) == ["config.json"] * (case != "missing")
 
     def test_byte_identical_reports_across_runs(self, tmp_path):
         outs = []
@@ -171,17 +191,27 @@ UNUSABLE_OUT_CASES = {
 }
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("where", ["file", "below-a-file", "nul-byte"])
 @pytest.mark.parametrize("command", list(UNUSABLE_OUT_CASES))
-def test_unusable_out_exits_two_with_nothing_written(tmp_path, capsys, command, below):
+def test_unusable_out_exits_two_with_nothing_written(tmp_path, capsys, command, where):
     blocker = tmp_path / "a-file"
     blocker.write_text("kept")
-    out = blocker / "runs" if below else blocker
-    code = run(UNUSABLE_OUT_CASES[command] + ["--dataset", "synthetic", "--out", str(out)])
+    argv = UNUSABLE_OUT_CASES[command] + ["--dataset", "synthetic"]
+    if where == "nul-byte":  # argv cannot carry a NUL byte; a config file can
+        out = tmp_path / "a\0b"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": str(out)}))
+        argv += ["--config", str(config)]
+    else:
+        out = blocker / "runs" if where == "below-a-file" else blocker
+        argv += ["--out", str(out)]
+    code = run(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert f"usage error: --out {out} " in err and "Traceback" not in err
-    assert blocker.read_text() == "kept" and list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"] + ["config.json"] * (
+        where == "nul-byte")
 
 
 # The interpreter's default filter shows a UserWarning; the suite's raises it.

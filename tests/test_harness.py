@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from gfnlab.graphs import (
     generate_dense_synthetic,
     generate_synthetic_dataset,
     normalized_adjacency,
+    stratified_kfold,
 )
 from gfnlab import graphs, harness
 from gfnlab.features import FeatureSpec
@@ -23,6 +25,7 @@ from gfnlab.harness import (
     TrainConfig,
     ablation_cells,
     ablation_sweep,
+    plan_folds,
     prepare_dataset,
     run_cv,
     select_best_epoch,
@@ -342,6 +345,48 @@ class TestRunCV:
         assert len(payload["per_fold_acc"]) == 2
         assert len(payload["folds"][0]["test_acc"]) == 2
         assert "± " in report.summary() and "@ epoch" in report.summary()
+
+
+def _one_and_two_node_graphs():
+    """A one-node graph and a two-node graph, one per class: with two folds,
+    the fold that tests the two-node graph trains on one node row."""
+    graphs_ = [AttributedGraph(Graph.from_edges(n, edges), np.ones((n, 1)), label)
+               for label, (n, edges) in enumerate([(1, []), (2, [(0, 1)])])]
+    return Dataset("thin", graphs_, num_classes=2, feature_dim=1)
+
+
+@pytest.mark.filterwarnings(r"ignore:class \d+ has:UserWarning")  # each class has one graph
+class TestThinTrainingSplit:
+    @pytest.mark.parametrize("kind", ["gcn", "gfn", "gfn-light"])
+    def test_batch_norm_kinds_are_refused_before_any_work(self, monkeypatch, kind):
+        ds = _one_and_two_node_graphs()
+        thin = int(stratified_kfold(ds, 2, seed=0).assignments[1])
+        calls = []
+        for name in ("prepare_dataset", "train_fold"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        message = (f"fold {thin} trains on 1 node row(s), but batch norm in {kind} needs at "
+                   "least 2: use more graphs or fewer folds")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_cv(ds, ModelConfig(kind=kind, num_classes=2), tiny_config())
+        assert calls == []
+
+    def test_gln_trains_on_every_fold(self, monkeypatch):
+        trained, real = [], harness.train_fold
+        monkeypatch.setattr(harness, "train_fold",
+                            lambda *args: trained.append(args[3]) or real(*args))
+        report = run_cv(_one_and_two_node_graphs(), ModelConfig(kind="gln", num_classes=2),
+                        tiny_config())
+        assert trained == [0, 1] and len(report.per_fold_acc) == 2
+
+    def test_any_batch_norm_kind_among_the_models_is_named(self):
+        ds = _one_and_two_node_graphs()
+        gln, gcn = (ModelConfig(kind=kind, num_classes=2) for kind in ("gln", "gcn"))
+        plan = plan_folds(ds, tiny_config(), [gln])
+        np.testing.assert_array_equal(plan.assignments, stratified_kfold(ds, 2, 0).assignments)
+        with pytest.raises(ValueError, match="batch norm in gcn needs at least 2"):
+            plan_folds(ds, tiny_config(), [gln, gcn])
 
 
 class TestAblation:

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import finite_difference_grad
 from gfnlab.nn import (
+    BN_EPS,
     Affine,
     BatchNorm,
     Parameter,
@@ -113,7 +114,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.std(axis=0), 1, atol=1e-3)
 
     def test_running_stats_update(self):
-        bn = BatchNorm(2, momentum=0.1, dtype=np.float64)
+        bn = BatchNorm(2, dtype=np.float64)
         x = np.array([[1.0, 2.0], [3.0, 6.0]])
         bn.forward(x, train=True)
         # one step from (0, 1) toward batch mean (2, 4) and population var (1, 4)
@@ -125,7 +126,7 @@ class TestBatchNorm:
         bn.running_mean[...] = 3.0
         bn.running_var[...] = 4.0
         out = bn.forward(np.array([[5.0]]), train=False)
-        np.testing.assert_allclose(out, [[(5.0 - 3.0) / np.sqrt(4.0 + bn.eps)]])
+        np.testing.assert_allclose(out, [[(5.0 - 3.0) / np.sqrt(4.0 + BN_EPS)]])
 
     def test_single_row_training_batch_rejected(self):
         bn = BatchNorm(2)
@@ -191,12 +192,12 @@ class TestBatchNorm:
                bn.forward(x, train=False)]
         X, G, gamma, beta, r_mean, r_var = (a.astype(np.float64) for a in (
             x, g, bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var))
-        inv_std = 1.0 / np.sqrt(X.var(axis=0) + bn.eps)
+        inv_std = 1.0 / np.sqrt(X.var(axis=0) + BN_EPS)
         x_hat = (X - X.mean(axis=0)) * inv_std
         want = [gamma * x_hat + beta,
                 gamma * inv_std * (G - G.mean(axis=0) - x_hat * (G * x_hat).mean(axis=0)),
                 (G * x_hat).sum(axis=0), G.sum(axis=0),
-                gamma * (X - r_mean) / np.sqrt(r_var + bn.eps) + beta]
+                gamma * (X - r_mean) / np.sqrt(r_var + BN_EPS) + beta]
         for a, b in zip(got, want):
             assert a.dtype == np.float32
             assert rel_err(a, b) < 100 * np.finfo(np.float32).eps
@@ -429,7 +430,7 @@ class TestExactBits:
         bn = BatchNorm(16)
         bn.gamma.value[...] = self.rng.uniform(0.5, 1.5, 16)
         bn.beta.value[...] = self.rng.standard_normal(16)
-        gamma, beta, eps, n = bn.gamma.value, bn.beta.value, bn.eps, self.x.shape[0]
+        gamma, beta, eps, n = bn.gamma.value, bn.beta.value, BN_EPS, self.x.shape[0]
         ones = np.ones(n, np.float32)  # every column sum is this BLAS product
         running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
         x, g = self.x.copy(), self.g.copy()
